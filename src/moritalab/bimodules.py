@@ -550,7 +550,7 @@ def seeded_random_bimodule(a: StructureAlgebra, seed: int) -> Bimodule:
         j = rng.randrange(dim)
         if i == j:
             continue
-        c = QQ(rng.choice([-2, -1, 1, 2]))
+        c = rng.choice([-2, -1, 1, 2])
         # row op on u: row_j += c * row_i; inverse tracks the column op
         u._rows[j] = vec_sub(u._rows[j], {k: -c * v for k, v in u._rows[i].items()})
         for r in range(dim):

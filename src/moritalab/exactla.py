@@ -292,25 +292,39 @@ def _combine(r: dict, p: dict, c: int) -> dict:
     return out
 
 
-def _forward_echelon(rows) -> dict:
+def _forward_echelon(rows, stop_at: int | None = None, sources: list | None = None) -> dict:
     """Integer row echelon; returns {pivot column: primitive row}.
 
     Rows are inserted sparsest first with earliest leading column as the
     tiebreak (a cheap Markowitz-flavored ordering that keeps fill-in and
     coefficient growth down); the span, and hence the canonical form
     computed from it, does not depend on the order.
+
+    stop_at is a proven upper bound on the rank: elimination ends once
+    that many pivots exist, since every remaining row could only reduce
+    to zero. The result is then the same dict the unbounded call returns,
+    because later rows never touch existing pivots. When sources is a
+    list, the input index of each row that became a pivot is appended to
+    it, in the order the pivots were found.
     """
     pivots: dict[int, dict] = {}
-    for row in sorted(
-        (_int_row(r) for r in rows),
-        key=lambda d: (len(d), min(d)) if d else (0, -1),
-    ):
+    ints = [_int_row(r) for r in rows]
+    # _int_row returns a fresh dict per input and ints keeps them all
+    # alive, so their ids name input positions uniquely; sorting ints in
+    # place, rather than a list of positions, keeps the peak memory down
+    position = {id(r): i for i, r in enumerate(ints)} if sources is not None else None
+    ints.sort(key=lambda d: (len(d), min(d)) if d else (0, -1))
+    for row in ints:
+        if len(pivots) == stop_at:
+            break
         r = row
         while r:
             c = min(r)
             p = pivots.get(c)
             if p is None:
                 pivots[c] = r
+                if sources is not None:
+                    sources.append(position[id(row)])
                 break
             r = _combine(r, p, c)
     return pivots

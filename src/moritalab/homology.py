@@ -7,6 +7,23 @@ multiplies adjacent legs with alternating signs. Cohomology with dual
 coefficients is the transpose complex, computed by an independent
 elimination so the finite-dimensional duality betti(H^n) = betti(H_n)
 acts as a built-in cross-check rather than an assumption.
+
+Ranks are certified by two bounds that must meet. The pivots found so
+far are independent, so their count is a lower bound on rank b_n. Since
+b_{n-1} b_n = 0 is verified exactly when the complex is built, rank b_n
+is at most dim C_{n-1} - rank b_{n-1}; each path takes that lower rank
+from its own elimination. An elimination ends as soon as its pivot count
+reaches the upper bound (certificate "bound"); otherwise it runs over
+every column or row ("exhaustive"). The bound is met exactly when the
+homology one degree down vanishes, so non-vanishing degrees are always
+eliminated to the end, and only such echelons feed representatives.
+
+The row path first eliminates the rows of b_n restricted to the columns
+behind the column pivots. That submatrix's rank is a lower bound on rank
+b_n whatever the columns are, so a wrong column set can only fail to
+reach the upper bound, never give a wrong rank. When it fails, the full
+rows are eliminated. Either way the row rank rests on the row path's own
+exact elimination of the boundary entries.
 """
 
 from __future__ import annotations
@@ -57,24 +74,31 @@ class NotUnitalError(ValueError):
 
 
 class ChainComplex:
-    """Chain spaces C_0..C_top with verified boundaries b_n: C_n -> C_{n-1}."""
+    """Chain spaces C_0..C_top with boundaries b_n: C_n -> C_{n-1}.
+
+    The composite-zero law b_n b_{n+1} = 0 is verified exactly on
+    construction; the rank bounds that end the eliminations rest on it.
+    certificates maps (path, n), path "col" or "row", to "bound" when the
+    rank of b_n was proven by the two bounds meeting, or "exhaustive"
+    when the elimination ran over every column or row.
+    """
 
     __slots__ = ("algebra", "coefficients", "spaces", "boundaries",
-                 "_col_ranks", "_row_ranks", "_col_pivots")
+                 "certificates", "_row_ranks", "_echelons", "_col_sources")
 
-    def __init__(self, algebra, coefficients, spaces, boundaries, check=True):
+    def __init__(self, algebra, coefficients, spaces, boundaries):
         self.algebra = algebra
         self.coefficients = coefficients
         self.spaces = list(spaces)
         self.boundaries = list(boundaries)  # boundaries[k] is b_{k+1}
-        self._col_ranks = {}
+        self.certificates = {}
         self._row_ranks = {}
-        self._col_pivots = {}
-        if check:
-            for k in range(len(self.boundaries) - 1):
-                comp = self.boundaries[k].compose(self.boundaries[k + 1])
-                if not comp.matrix.is_zero():
-                    raise RuntimeError(f"boundary composite b_{k + 1} b_{k + 2} is nonzero")
+        self._echelons = {}     # (path, n) -> pivots of an elimination of b_n
+        self._col_sources = {}  # n -> column of b_n behind each column pivot
+        for k in range(len(self.boundaries) - 1):
+            comp = self.boundaries[k].compose(self.boundaries[k + 1])
+            if not comp.matrix.is_zero():
+                raise RuntimeError(f"boundary composite b_{k + 1} b_{k + 2} is nonzero")
 
     @property
     def top_degree(self) -> int:
@@ -87,25 +111,78 @@ class ChainComplex:
             return self.boundaries[n - 1]
         raise IndexError(f"boundary b_{n} not stored (have 1..{len(self.boundaries)})")
 
+    def _rank_bound(self, n: int, lower_rank) -> int:
+        """Upper bound dim C_{n-1} - rank b_{n-1} on rank b_n.
+
+        It holds because b_{n-1} b_n = 0 puts the image of b_n inside the
+        kernel of b_{n-1}; any lower bound on rank b_{n-1}, taken from the
+        same path, keeps it valid.
+        """
+        return self.spaces[n - 1] - (lower_rank(n - 1) if n > 1 else 0)
+
     def col_rank(self, n: int) -> int:
         """Rank of b_n by elimination on its columns (cached)."""
-        if n not in self._col_ranks:
-            self._col_ranks[n] = len(self.col_pivots(n))
-        return self._col_ranks[n]
+        return len(self.col_pivots(n))
 
     def col_pivots(self, n: int) -> dict:
-        if n not in self._col_pivots:
-            b = self.boundary(n)
-            cols = b.matrix._columns()
-            self._col_pivots[n] = _forward_echelon(cols)
-        return self._col_pivots[n]
+        """Column echelon of b_n, ended once its pivots reach the rank bound."""
+        key = ("col", n)
+        if key not in self._echelons:
+            bound = self._rank_bound(n, self.col_rank)
+            sources: list = []
+            piv = _forward_echelon(self.boundary(n).matrix._columns(),
+                                   stop_at=bound, sources=sources)
+            self._echelons[key] = piv
+            self._col_sources[n] = sources
+            self.certificates[key] = "bound" if len(piv) == bound else "exhaustive"
+        return self._echelons[key]
 
     def row_rank(self, n: int) -> int:
-        """Rank of b_n by an independent elimination on its rows (cached)."""
+        """Rank of b_n by an independent elimination on its rows (cached).
+
+        The rows are first restricted to the columns behind the column
+        pivots. A submatrix never has more rank than b_n, so if its rows
+        reach the upper bound the rank is proven, whichever columns were
+        kept. Otherwise every row of b_n is eliminated to the end.
+        """
         if n not in self._row_ranks:
-            b = self.boundary(n)
-            self._row_ranks[n] = len(_forward_echelon(b.matrix._rows))
+            bound = self._rank_bound(n, self.row_rank)
+            self.col_pivots(n)
+            keep = set(self._col_sources[n])
+            rows = self.boundary(n).matrix._rows
+            hinted = [{c: v for c, v in row.items() if c in keep} for row in rows]
+            rank = len(_forward_echelon(hinted, stop_at=bound))
+            if rank == bound:
+                self.certificates[("row", n)] = "bound"
+            else:
+                piv = _forward_echelon(rows)
+                self._echelons[("row", n)] = piv
+                self.certificates[("row", n)] = "exhaustive"
+                rank = len(piv)
+            self._row_ranks[n] = rank
         return self._row_ranks[n]
+
+    def exhaustive_pivots(self, path: str, n: int) -> dict:
+        """Echelon of b_n from an elimination over all of its columns
+        (path "col") or rows ("row"), as representatives need.
+
+        A column echelon ended at the bound is refused. The row path's
+        restricted echelon belongs to a submatrix and is never stored; when
+        the row rank was proven by its bound, the rows are eliminated to
+        the end here, and that rank must agree.
+        """
+        if path == "col":
+            piv = self.col_pivots(n)
+            assert self.certificates[("col", n)] == "exhaustive", \
+                f"column echelon of b_{n} ended at the rank bound"
+            return piv
+        key = ("row", n)
+        if key not in self._echelons:
+            piv = _forward_echelon(self.boundary(n).matrix._rows)
+            if len(piv) != self.row_rank(n):
+                raise RuntimeError(f"row elimination of b_{n} disagrees with its certified rank")
+            self._echelons[key] = piv
+        return self._echelons[key]
 
 
 def check_bar_budget(algebra_dim: int, coeff_dim: int, n_max: int,
@@ -192,7 +269,7 @@ def bar_complex(a: StructureAlgebra, e: Bimodule, n_max: int,
             for idx, v in acc.items():
                 rows[idx][col] = v
         boundaries.append(LinearMap(src_dim, tgt_dim, mat))
-    return ChainComplex(a, e, dims, boundaries, check=True)
+    return ChainComplex(a, e, dims, boundaries)
 
 
 @dataclass
@@ -241,20 +318,14 @@ def hochschild_homology(a: StructureAlgebra, e: Bimodule, n: int,
     """H_n as exact ranks of the bar boundaries; representatives are kernel
     vectors independent modulo the boundary image."""
     cx = complex if complex is not None else bar_complex(a, e, n, size_limit)
-    if n == 0:
-        cycle_rank = cx.spaces[0]
-        boundary_rank = cx.col_rank(1)
-        betti = cycle_rank - boundary_rank
-        reps = _representatives(({i: 1} for i in range(cx.spaces[0])),
-                                cx.col_pivots(1), betti)
-    else:
-        cycle_rank = cx.spaces[n] - cx.col_rank(n)
-        boundary_rank = cx.col_rank(n + 1)
-        betti = cycle_rank - boundary_rank
-        reps = []
-        if betti:
-            reps = _representatives(_kernel_vectors(cx.boundary(n)),
-                                    cx.col_pivots(n + 1), betti)
+    cycle_rank = cx.spaces[n] - (cx.col_rank(n) if n >= 1 else 0)
+    boundary_rank = cx.col_rank(n + 1)
+    betti = cycle_rank - boundary_rank
+    reps = []
+    if betti:
+        cycles = _kernel_vectors(cx.boundary(n)) if n >= 1 else \
+            ({i: 1} for i in range(cx.spaces[0]))
+        reps = _representatives(cycles, cx.exhaustive_pivots("col", n + 1), betti)
     if betti and len(reps) != betti:
         raise RuntimeError("representative count disagrees with rank arithmetic")
     return HomologyResult(degree=n, betti=betti, cycle_reps=reps,
@@ -282,7 +353,7 @@ def hochschild_cohomology(a: StructureAlgebra, e: Bimodule, n: int,
         )
     reps = []
     if betti:
-        coboundary_pivots = _forward_echelon(cx.boundary(n).matrix._rows) if n >= 1 else {}
+        coboundary_pivots = cx.exhaustive_pivots("row", n) if n >= 1 else {}
         transpose = LinearMap(
             cx.spaces[n], cx.spaces[n + 1], cx.boundary(n + 1).matrix.transpose()
         )

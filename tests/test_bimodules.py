@@ -1,6 +1,7 @@
 """Bimodule actions, balanced tensor products, induced modules."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -340,6 +341,17 @@ def test_seeded_random_bimodule_deterministic_and_valid():
         assert m1 == m2
         assert m1.check_axioms() == []
     assert seeded_random_bimodule(sa, 0) != seeded_random_bimodule(sa, 1)
+
+
+def test_seeded_random_bimodule_entries_stay_int():
+    # an integral Fraction would push every later product off the int
+    # fast path; integral entries must come out as plain int
+    for algebra in (semigroup_algebra(brandt(1, cyclic_group(2))), matrix_algebra(2)):
+        for seed in range(6):
+            mod = seeded_random_bimodule(algebra, seed)
+            for m in mod.left_action + mod.right_action:
+                for _, _, v in m.entries():
+                    assert not (isinstance(v, Fraction) and v.denominator == 1), (seed, v)
 
 
 # -------------------------------------------------------------- rebracketing

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction as QQ
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moritalab.exactla import (
     LinearMap,
     RationalMatrix,
     Subspace,
+    _forward_echelon,
     image,
     inverse,
     kernel,
@@ -324,3 +326,30 @@ def test_fraction_entries_survive():
     assert rank == 1
     assert out.entry(0, 0) == 1
     assert out.entry(0, 1) == QQ(2, 3)
+
+
+sparse_int_rows = st.integers(1, 8).flatmap(lambda width: st.lists(
+    st.dictionaries(st.integers(0, width - 1),
+                    st.integers(-3, 3).filter(bool), max_size=width),
+    max_size=10,
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=sparse_int_rows, extra=st.integers(0, 3))
+def test_forward_echelon_stops_at_rank_bound(rows, extra):
+    full = _forward_echelon(rows)
+    width = 1 + max((c for r in rows for c in r), default=0)
+    rank = dense_rank([[QQ(r.get(c, 0)) for c in range(width)] for r in rows])
+    assert len(full) == rank
+    for stop in (rank, rank + extra):
+        sources = []
+        assert _forward_echelon(rows, stop_at=stop, sources=sources) == full
+        # the recorded source rows are independent rows of the input
+        picked = [[QQ(rows[i].get(c, 0)) for c in range(width)] for i in sources]
+        assert len(sources) == rank and dense_rank(picked) == rank
+    # below the rank the pivots found so far are kept unchanged
+    for stop in range(rank):
+        part = _forward_echelon(rows, stop_at=stop)
+        assert len(part) == stop
+        assert all(full[c] == row for c, row in part.items())

@@ -22,6 +22,7 @@ from moritalab.bimodules import (
     seeded_random_bimodule,
 )
 from moritalab.homology import (
+    ChainComplex,
     NotUnitalError,
     SizeLimitError,
     bar_complex,
@@ -31,7 +32,7 @@ from moritalab.homology import (
     hochschild_homology,
     vanishing_suite,
 )
-from moritalab.exactla import RationalMatrix
+from moritalab.exactla import LinearMap, RationalMatrix
 
 from oracles import dense_rank, matrix_of_linear_map
 
@@ -128,14 +129,82 @@ def test_homology_nonvanishing_case_has_representatives():
         assert cx.boundary(1).apply(rep) == {}
 
 
+def dual_numbers():
+    return StructureAlgebra(
+        2, ["1", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+        unit={0: 1}, name="dual-numbers",
+    )
+
+
 def test_rank_arithmetic_cross_checked_against_dense_oracle():
-    sa = semigroup_algebra(brandt(1, cyclic_group(2)))
-    reg = regular_bimodule(sa)
-    cx = bar_complex(sa, reg, 2)
+    # both elimination paths, in every degree, whichever way each rank
+    # was certified
+    b1c2 = semigroup_algebra(brandt(1, cyclic_group(2)))
+    random_completion = induced_completion(b1c2, seeded_random_bimodule(b1c2, 4))
+    cases = [(a.name, bar_complex(a, regular_bimodule(a), 2))
+             for a in (scalar_algebra(), matrix_algebra(2), b1c2, dual_numbers())]
+    cases.append(("random completion", bar_complex(b1c2, random_completion, 2)))
+    certs = set()
+    for name, cx in cases:
+        for n in range(1, len(cx.boundaries) + 1):
+            dense = dense_rank(matrix_of_linear_map(cx.boundary(n)))
+            assert cx.col_rank(n) == dense, (name, n)
+            assert cx.row_rank(n) == dense, (name, n)
+        certs.update(cx.certificates.values())
+    # the battery exercises both ways a rank gets established
+    assert certs == {"bound", "exhaustive"}
+
+
+def test_rank_certificates_bound_where_homology_vanishes():
+    sa = semigroup_algebra(brandt(2, cyclic_group(2)))
+    cx = bar_complex(sa, regular_bimodule(sa), 2)
+    for n in (2, 3):
+        cx.row_rank(n)
+        assert cx.certificates[("col", n)] == "bound"
+        assert cx.certificates[("row", n)] == "bound"
+    # H_0 has dimension 3, so b_1 never meets its bound dim C_0
+    assert cx.certificates[("col", 1)] == "exhaustive"
+    assert cx.certificates[("row", 1)] == "exhaustive"
+
+
+def test_rank_certificates_exhaustive_for_dual_numbers():
+    dual = dual_numbers()
+    cx = bar_complex(dual, regular_bimodule(dual), 2)
     for n in (1, 2, 3):
-        ours = cx.col_rank(n)
-        dense = dense_rank(matrix_of_linear_map(cx.boundary(n)))
-        assert ours == dense
+        cx.row_rank(n)
+        assert cx.certificates[("col", n)] == "exhaustive"
+        assert cx.certificates[("row", n)] == "exhaustive"
+
+
+def test_bounded_column_echelon_refused_for_representatives():
+    sa = semigroup_algebra(brandt(1, cyclic_group(2)))
+    cx = bar_complex(sa, regular_bimodule(sa), 1)
+    cx.col_pivots(2)
+    assert cx.certificates[("col", 2)] == "bound"
+    with pytest.raises(AssertionError):
+        cx.exhaustive_pivots("col", 2)
+    # the full row echelon is built on demand and checked against the rank
+    assert len(cx.exhaustive_pivots("row", 2)) == cx.row_rank(2)
+
+
+def test_row_rank_falls_back_when_column_hint_is_damaged():
+    sa = semigroup_algebra(brandt(2, cyclic_group(2)))
+    cx = bar_complex(sa, regular_bimodule(sa), 1)
+    dense = dense_rank(matrix_of_linear_map(cx.boundary(2)))
+    cx.col_pivots(2)
+    assert cx.certificates[("col", 2)] == "bound"
+    # drop one recorded pivot column: the restricted rows lose rank, miss
+    # the bound, and the full row elimination must take over
+    cx._col_sources[2].pop()
+    assert cx.row_rank(2) == dense
+    assert cx.certificates[("row", 2)] == "exhaustive"
+
+
+def test_chain_complex_always_checks_composite_zero():
+    # b_1 = identity on a line and b_2 = identity: b_1 b_2 != 0
+    ident = LinearMap.identity(1)
+    with pytest.raises(RuntimeError, match="composite"):
+        ChainComplex(None, None, [1, 1, 1], [ident, ident])
 
 
 # ------------------------------------------------------------------ cohomology
