@@ -6,6 +6,15 @@ exhaustively on bases at construction; well-definedness of quotient
 actions is likewise verified, never assumed, because that is exactly
 where a subtle bug would silently corrupt every downstream homology
 computation.
+
+The balanced tensor E (x)_A F is the quotient of E (x) F by the balancing
+subspace N. quotient() gives a projection proj with kernel exactly N, so
+an outer action matrix m maps N into N exactly when proj @ m kills every
+basis vector of N, that is when (proj @ m) @ N^T is zero. The section
+embeds the quotient as the coordinates at N's non-pivot (free) columns,
+so the quotient action proj @ m @ section is proj @ m restricted to
+those columns: one product per action matrix certifies preservation and
+gives the quotient action.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .exactla import (
     LinearMap,
@@ -73,76 +83,32 @@ class Bimodule:
     def check_axioms(self, stop_early=False) -> list[str]:
         """All violated axiom instances (empty means the module is valid).
 
-        The identities are compared column by column on the sparse action
-        matrices, one violation reported per offending basis pair.
+        Each identity is one comparison of whole sparse matrices per basis
+        pair: L_p L_q = sum_s c_s L_s for the left action, R_q R_p =
+        sum_s c_s R_s for the right action (c = structure vector of the
+        pair), and L_p R_q = R_q L_p. One violation is reported per
+        offending basis pair.
         """
         out = []
         A, B = self.left_algebra, self.right_algebra
-        lcols = [m._columns() for m in self.left_action]
-        rcols = [m._columns() for m in self.right_action]
-        d = self.dim
-        for p in range(A.dim):
-            cp = lcols[p]
-            for q in range(A.dim):
-                cq = lcols[q]
-                vec = A.structure.get((p, q), {})
-                for r in range(d):
-                    if _compose_col(cp, cq[r]) != _combination_col(vec, lcols, r):
-                        out.append(f"left action not multiplicative at basis pair ({p},{q})")
-                        if stop_early:
-                            return out
-                        break
-        for p in range(B.dim):
-            cp = rcols[p]
-            for q in range(B.dim):
-                cq = rcols[q]
-                vec = B.structure.get((p, q), {})
-                for r in range(d):
-                    if _compose_col(cq, cp[r]) != _combination_col(vec, rcols, r):
-                        out.append(
-                            f"right action not anti-multiplicative at basis pair ({p},{q})"
-                        )
-                        if stop_early:
-                            return out
-                        break
-        for p in range(A.dim):
-            cp = lcols[p]
-            for q in range(B.dim):
-                cq = rcols[q]
-                for r in range(d):
-                    if _compose_col(cp, cq[r]) != _compose_col(cq, cp[r]):
-                        out.append(f"actions do not commute at basis pair ({p},{q})")
-                        if stop_early:
-                            return out
-                        break
-        return out
-
-    def left_matrix(self, p: int) -> RationalMatrix:
-        return self.left_action[p]
-
-    def right_matrix(self, p: int) -> RationalMatrix:
-        return self.right_action[p]
-
-    def left_apply(self, coeffs: dict, vec: dict) -> dict:
-        out: dict = {}
-        for p, c in coeffs.items():
-            for r, v in self.left_action[p].apply(vec).items():
-                y = out.get(r, 0) + c * v
-                if y:
-                    out[r] = y
-                elif r in out:
-                    del out[r]
-        return out
-
-    def right_apply(self, vec: dict, coeffs: dict) -> dict:
-        out: dict = {}
-        for p, c in coeffs.items():
-            for r, v in self.right_action[p].apply(vec).items():
-                y = out.get(r, 0) + c * v
-                if y:
-                    out[r] = y
-                elif r in out:
-                    del out[r]
+        left, right = self.left_action, self.right_action
+        for p, q in product(range(A.dim), range(A.dim)):
+            vec = A.structure.get((p, q), {})
+            if left[p] @ left[q] != _combination(vec, left, self.dim):
+                out.append(f"left action not multiplicative at basis pair ({p},{q})")
+                if stop_early:
+                    return out
+        for p, q in product(range(B.dim), range(B.dim)):
+            vec = B.structure.get((p, q), {})
+            if right[q] @ right[p] != _combination(vec, right, self.dim):
+                out.append(f"right action not anti-multiplicative at basis pair ({p},{q})")
+                if stop_early:
+                    return out
+        for p, q in product(range(A.dim), range(B.dim)):
+            if left[p] @ right[q] != right[q] @ left[p]:
+                out.append(f"actions do not commute at basis pair ({p},{q})")
+                if stop_early:
+                    return out
         return out
 
     def __eq__(self, other) -> bool:
@@ -162,30 +128,16 @@ class Bimodule:
         return f"Bimodule({self.name}, dim {self.dim})"
 
 
-def _compose_col(cols, col: dict) -> dict:
-    """Column of a matrix product: the matrix given by its column list,
-    applied to one sparse column."""
-    out: dict = {}
-    for k, v in col.items():
-        for r, w in cols[k].items():
-            y = out.get(r, 0) + v * w
-            if y:
-                out[r] = y
-            elif r in out:
-                del out[r]
-    return out
-
-
-def _combination_col(vec: dict, all_cols, r: int) -> dict:
-    """Column r of a linear combination of action matrices."""
-    out: dict = {}
+def _combination(vec: dict, actions, dim: int) -> RationalMatrix:
+    """sum_s vec[s] * actions[s]; a single basis element with coefficient
+    1 is the action matrix itself."""
+    if len(vec) == 1:
+        (s, c), = vec.items()
+        if c == 1:
+            return actions[s]
+    out = RationalMatrix(dim, dim)
     for s, c in vec.items():
-        for k, w in all_cols[s][r].items():
-            y = out.get(k, 0) + c * w
-            if y:
-                out[k] = y
-            elif k in out:
-                del out[k]
+        out = out + actions[s].scale(c)
     return out
 
 
@@ -209,22 +161,19 @@ class BimoduleMap:
                 raise IntertwiningError(bad[0])
 
     def intertwining_failures(self, stop_early=False) -> list[str]:
+        """One message per action basis element p with M S_p != T_p M,
+        where M is the map and S, T are the source and target actions."""
         out = []
-        mcols = self.map.matrix._columns()
-        d = self.source.dim
+        m = self.map.matrix
         for side, src_actions, tgt_actions in (
             ("left", self.source.left_action, self.target.left_action),
             ("right", self.source.right_action, self.target.right_action),
         ):
-            for p in range(len(src_actions)):
-                scols = src_actions[p]._columns()
-                tcols = tgt_actions[p]._columns()
-                for r in range(d):
-                    if _compose_col(mcols, scols[r]) != _compose_col(tcols, mcols[r]):
-                        out.append(f"map does not intertwine {side} action of basis {p}")
-                        if stop_early:
-                            return out
-                        break
+            for p, (s, t) in enumerate(zip(src_actions, tgt_actions)):
+                if m @ s != t @ m:
+                    out.append(f"map does not intertwine {side} action of basis {p}")
+                    if stop_early:
+                        return out
         return out
 
     def is_bijective(self) -> bool:
@@ -392,31 +341,34 @@ def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Balance
     induced outer actions. Every action matrix is checked to map the
     balancing subspace into itself before the quotient action is formed.
 
+    One product pm = proj @ m per action matrix m serves both: m preserves
+    the balancing subspace exactly when pm kills its basis, and the
+    quotient action proj @ m @ section is pm on the free columns.
+
     The intermediate tensor skips the axiom re-check: for valid inputs the
     outer actions satisfy the axioms identically, and for broken inputs
     the preservation check below is the error the caller is promised.
     """
     big = tensor(e, f, _check=False)
     rel = balancing_subspace(e, f, over)
-    for p, m in enumerate(big.left_action):
-        for r in range(rel.basis.rows):
-            if not rel.contains(m.apply(rel.basis._rows[r])):
-                raise ActionNotWellDefined(
-                    f"left action of basis {p} does not preserve the balancing subspace"
-                )
-    for p, m in enumerate(big.right_action):
-        for r in range(rel.basis.rows):
-            if not rel.contains(m.apply(rel.basis._rows[r])):
-                raise ActionNotWellDefined(
-                    f"right action of basis {p} does not preserve the balancing subspace"
-                )
     q = quotient(big.dim, rel)
-    left = [(q.proj.compose(LinearMap(big.dim, big.dim, m)).compose(q.section)).matrix
-            for m in big.left_action]
-    right = [(q.proj.compose(LinearMap(big.dim, big.dim, m)).compose(q.section)).matrix
-             for m in big.right_action]
+    rel_cols = rel.basis.transpose()
+    pivots = set(rel.pivot_columns())
+    free = {j: t for t, j in enumerate(j for j in range(big.dim) if j not in pivots)}
+    actions = {"left": [], "right": []}
+    for side, mats in (("left", big.left_action), ("right", big.right_action)):
+        for p, m in enumerate(mats):
+            pm = q.proj.matrix @ m
+            if not (pm @ rel_cols).is_zero():
+                raise ActionNotWellDefined(
+                    f"{side} action of basis {p} does not preserve the balancing subspace"
+                )
+            actions[side].append(RationalMatrix.from_rows(
+                [{free[j]: v for j, v in row.items() if j in free} for row in pm._rows],
+                q.dim,
+            ))
     small = Bimodule(
-        big.left_algebra, big.right_algebra, q.dim, left, right,
+        big.left_algebra, big.right_algebra, q.dim, actions["left"], actions["right"],
         name=f"{e.name}(x)_{over.name}{f.name}",
     )
     proj = BimoduleMap(big, small, q.proj)
@@ -429,12 +381,10 @@ def induced_map(bt: BalancedTensor, raw: LinearMap, target: Bimodule) -> Bimodul
     raw must vanish on the balancing subspace; the descended map is then
     raw composed with the section, and is verified to be a bimodule map.
     """
-    rel = bt.relations
-    for r in range(rel.basis.rows):
-        if raw.apply(rel.basis._rows[r]):
-            raise ActionNotWellDefined(
-                "map does not vanish on the balancing subspace, cannot descend"
-            )
+    if not (raw.matrix @ bt.relations.basis.transpose()).is_zero():
+        raise ActionNotWellDefined(
+            "map does not vanish on the balancing subspace, cannot descend"
+        )
     return BimoduleMap(bt.module, target, raw.compose(bt.section))
 
 

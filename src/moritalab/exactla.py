@@ -228,15 +228,17 @@ def _int_row(row: dict) -> dict:
     """Clear denominators and divide out the content."""
     if not row:
         return {}
+    # type(v) is int is an exact-type test; isinstance(v, Fraction) would
+    # go through the numbers.Rational ABC machinery on every entry
     den = 1
     for v in row.values():
-        if isinstance(v, Fraction):
+        if type(v) is not int:
             d = v.denominator
             den = den * d // gcd(den, d)
     out = {}
     g = 0
     for k, v in row.items():
-        w = int(v * den) if isinstance(v, Fraction) else v * den
+        w = v * den if type(v) is int else int(v * den)
         if w:
             out[k] = w
             g = gcd(g, w)
@@ -370,14 +372,14 @@ def _rref_rows(rows) -> list[tuple[int, dict]]:
 class Subspace:
     """A linear subspace stored via its unique RREF basis (one row each)."""
 
-    __slots__ = ("ambient_dim", "basis", "_int_pivots")
+    __slots__ = ("ambient_dim", "basis", "_pivot_rows")
 
     def __init__(self, ambient_dim: int, basis: RationalMatrix):
         if basis.cols != ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
         self.ambient_dim = ambient_dim
         self.basis = basis
-        self._int_pivots = None
+        self._pivot_rows = None
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors) -> "Subspace":
@@ -399,33 +401,29 @@ class Subspace:
     def pivot_columns(self) -> list[int]:
         return [min(self.basis._rows[r]) for r in range(self.basis.rows)]
 
-    def reduce(self, vec: dict) -> dict:
-        """Residue of a vector modulo the subspace (zero iff contained)."""
-        v = {k: nrat(x) for k, x in vec.items() if x}
-        for r in range(self.basis.rows):
-            row = self.basis._rows[r]
-            c = min(row)
-            x = v.get(c)
-            if x:
-                v = vec_sub(v, vec_scale(row, x))
-        return v
-
     def contains(self, vec: dict) -> bool:
-        # membership runs on primitive integer rows; much cheaper than the
-        # fraction arithmetic of reduce() and called far more often
-        if self._int_pivots is None:
-            self._int_pivots = {
-                min(row): _int_row(row) for row in self.basis._rows if row
-            }
-        piv = self._int_pivots
-        v = _int_row(vec)
-        while v:
-            c = min(v)
-            p = piv.get(c)
-            if p is None:
-                return False
-            v = _combine(v, p, c)
-        return True
+        """Whether vec lies in the subspace.
+
+        The basis is a full RREF: row c has a 1 at its pivot column c and
+        every other row is 0 there. So the only combination of basis rows
+        that can equal vec is sum over pivots c of vec[c] * row_c, and vec
+        is contained exactly when that one-pass residual is zero.
+        """
+        if self._pivot_rows is None:
+            self._pivot_rows = {min(row): row for row in self.basis._rows}
+        piv = self._pivot_rows
+        res = {k: x for k, x in vec.items() if x}
+        for c, x in vec.items():
+            row = piv.get(c)
+            if row is None or not x:
+                continue
+            for k, w in row.items():
+                y = res.get(k, 0) - x * w
+                if y:
+                    res[k] = y
+                elif k in res:
+                    del res[k]
+        return not res
 
     def __eq__(self, other) -> bool:
         return (

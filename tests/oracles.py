@@ -81,3 +81,73 @@ def span_contains(vectors, candidate, dim):
     rank_without = dense_rank(rows) if rows else 0
     rows_with = rows + dense_from_sparse([candidate], 1, dim)
     return dense_rank(rows_with) == rank_without
+
+
+# Column-by-column bimodule checks: the reference for the whole-matrix
+# comparisons in moritalab.bimodules. Each identity is compared one sparse
+# column at a time, and one violation is reported per offending basis pair.
+
+
+def _compose_col(cols, col):
+    """Column of a matrix product: the matrix given by its column list,
+    applied to one sparse column."""
+    out = {}
+    for k, v in col.items():
+        for r, w in cols[k].items():
+            out[r] = out.get(r, 0) + v * w
+    return {r: v for r, v in out.items() if v}
+
+
+def _combination_col(vec, all_cols, r):
+    """Column r of a linear combination of matrices."""
+    out = {}
+    for s, c in vec.items():
+        for k, w in all_cols[s][r].items():
+            out[k] = out.get(k, 0) + c * w
+    return {k: v for k, v in out.items() if v}
+
+
+def _cols(m):
+    return [m.col(c) for c in range(m.cols)]
+
+
+def axiom_violations(mod):
+    """Reference for Bimodule.check_axioms()."""
+    out = []
+    a, b = mod.left_algebra, mod.right_algebra
+    lcols = [_cols(m) for m in mod.left_action]
+    rcols = [_cols(m) for m in mod.right_action]
+    for p in range(a.dim):
+        for q in range(a.dim):
+            vec = a.structure.get((p, q), {})
+            if any(_compose_col(lcols[p], lcols[q][r]) != _combination_col(vec, lcols, r)
+                   for r in range(mod.dim)):
+                out.append(f"left action not multiplicative at basis pair ({p},{q})")
+    for p in range(b.dim):
+        for q in range(b.dim):
+            vec = b.structure.get((p, q), {})
+            if any(_compose_col(rcols[q], rcols[p][r]) != _combination_col(vec, rcols, r)
+                   for r in range(mod.dim)):
+                out.append(f"right action not anti-multiplicative at basis pair ({p},{q})")
+    for p in range(a.dim):
+        for q in range(b.dim):
+            if any(_compose_col(lcols[p], rcols[q][r]) != _compose_col(rcols[q], lcols[p][r])
+                   for r in range(mod.dim)):
+                out.append(f"actions do not commute at basis pair ({p},{q})")
+    return out
+
+
+def intertwining_violations(bmap):
+    """Reference for BimoduleMap.intertwining_failures()."""
+    out = []
+    mcols = _cols(bmap.map.matrix)
+    for side, src, tgt in (
+        ("left", bmap.source.left_action, bmap.target.left_action),
+        ("right", bmap.source.right_action, bmap.target.right_action),
+    ):
+        for p in range(len(src)):
+            scols, tcols = _cols(src[p]), _cols(tgt[p])
+            if any(_compose_col(mcols, scols[r]) != _compose_col(tcols, mcols[r])
+                   for r in range(bmap.source.dim)):
+                out.append(f"map does not intertwine {side} action of basis {p}")
+    return out

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moritalab.exactla import (
     LinearMap,
@@ -45,7 +46,7 @@ from moritalab.bimodules import (
     trace_pairing,
 )
 
-from oracles import span_contains
+from oracles import axiom_violations, intertwining_violations, span_contains
 
 
 def zero_action_module(a, dim):
@@ -222,8 +223,23 @@ def test_balanced_tensor_detects_non_preserving_action():
     broken_right[0] = skew
     broken = Bimodule(f.left_algebra, f.right_algebra, 2,
                       list(f.left_action), broken_right, check=False)
-    with pytest.raises(ActionNotWellDefined):
+    with pytest.raises(ActionNotWellDefined,
+                       match="^right action of basis 0 does not preserve"):
         balanced_tensor(e, broken, m2)
+    # in the regular M_2 square, one outer action matrix at a time is
+    # replaced by a matrix unit that does not commute with the balancing
+    # actions; the error names that side and basis index
+    reg = regular_bimodule(m2)
+    skew = RationalMatrix(4, 4)
+    skew._rows[0][1] = 1
+    for side, index in (("left", 3), ("right", 1)):
+        left, right = list(reg.left_action), list(reg.right_action)
+        (left if side == "left" else right)[index] = skew
+        broken = Bimodule(m2, m2, 4, left, right, check=False)
+        e, f = (broken, reg) if side == "left" else (reg, broken)
+        with pytest.raises(ActionNotWellDefined,
+                           match=f"^{side} action of basis {index} does not preserve"):
+            balanced_tensor(e, f, m2)
 
 
 def test_induced_map_requires_vanishing_on_relations():
@@ -398,3 +414,73 @@ def test_bimodule_map_rejects_non_intertwining():
     # identity and zero always intertwine
     BimoduleMap(reg, reg, LinearMap.identity(4))
     BimoduleMap(reg, reg, LinearMap.zero(4, 4))
+
+
+# ------------------------------------------- matrix checks against a reference
+
+_B12 = semigroup_algebra(brandt(1, cyclic_group(2)))
+FAULT_MODULES = [
+    regular_bimodule(matrix_algebra(2)),
+    regular_bimodule(_B12),
+    seeded_random_bimodule(_B12, 5),
+]
+
+
+def _with_entry(m, r, c, delta):
+    out = RationalMatrix.from_rows([m.row(i) for i in range(m.rows)], m.cols)
+    v = out._rows[r].get(c, 0) + delta
+    if v:
+        out._rows[r][c] = v
+    else:
+        del out._rows[r][c]
+    return out
+
+
+def _corrupt_action(mod, side, p, r, c, delta):
+    left, right = list(mod.left_action), list(mod.right_action)
+    actions = left if side == "left" else right
+    p %= len(actions)
+    actions[p] = _with_entry(actions[p], r % mod.dim, c % mod.dim, delta)
+    return Bimodule(mod.left_algebra, mod.right_algebra, mod.dim, left, right,
+                    check=False)
+
+
+faults = st.tuples(
+    st.integers(0, len(FAULT_MODULES) - 1),
+    st.sampled_from(["left", "right"]),
+    st.integers(0, 10), st.integers(0, 10), st.integers(0, 10),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fault=faults)
+def test_check_axioms_matches_column_reference_under_fault_injection(fault):
+    k, side, p, r, c, delta = fault
+    mod = _corrupt_action(FAULT_MODULES[k], side, p, r, c, delta)
+    expected = axiom_violations(mod)
+    assert mod.check_axioms() == expected
+    assert mod.check_axioms(stop_early=True) == expected[:1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fault=faults, in_map=st.booleans())
+def test_intertwining_matches_column_reference_under_fault_injection(fault, in_map):
+    k, side, p, r, c, delta = fault
+    mod = FAULT_MODULES[k]
+    if in_map:
+        m = _with_entry(RationalMatrix.identity(mod.dim), r % mod.dim, c % mod.dim, delta)
+        bmap = BimoduleMap(mod, mod, LinearMap(mod.dim, mod.dim, m), check=False)
+    else:
+        target = _corrupt_action(mod, side, p, r, c, delta)
+        bmap = BimoduleMap(mod, target, LinearMap.identity(mod.dim), check=False)
+    expected = intertwining_violations(bmap)
+    assert bmap.intertwining_failures() == expected
+    assert bmap.intertwining_failures(stop_early=True) == expected[:1]
+
+
+def test_column_reference_agrees_on_valid_modules():
+    for mod in FAULT_MODULES:
+        assert axiom_violations(mod) == [] == mod.check_axioms()
+        ident = BimoduleMap(mod, mod, LinearMap.identity(mod.dim))
+        assert intertwining_violations(ident) == [] == ident.intertwining_failures()

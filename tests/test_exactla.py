@@ -11,6 +11,7 @@ from moritalab.exactla import (
     RationalMatrix,
     Subspace,
     _forward_echelon,
+    _int_row,
     image,
     inverse,
     kernel,
@@ -23,7 +24,7 @@ from moritalab.exactla import (
 )
 from moritalab.structures import matrix_algebra
 
-from oracles import dense_rank, dense_rref, matrix_of_linear_map
+from oracles import dense_rank, dense_rref, matrix_of_linear_map, span_contains
 
 
 def random_matrix(rng, rows, cols, density=0.5, span=5):
@@ -252,6 +253,51 @@ def test_subspace_equal_is_equivalence_and_matches_containment(seed=11):
             for c in spaces:
                 if subspace_equal(a, b) and subspace_equal(b, c):
                     assert subspace_equal(a, c)
+
+
+small_rationals = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+sparse_vectors = st.dictionaries(st.integers(0, 4), small_rationals, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanning=st.lists(sparse_vectors, max_size=5), candidate=sparse_vectors,
+       coeffs=st.lists(small_rationals, min_size=5, max_size=5), in_span=st.booleans())
+def test_contains_matches_dense_rank_oracle(spanning, candidate, coeffs, in_span):
+    # contains(v) holds iff appending v to the spanning set keeps the rank
+    if in_span:
+        # a combination of the spanning vectors, so both answers occur often
+        combo = {}
+        for c, vec in zip(coeffs, spanning):
+            for k, x in vec.items():
+                combo[k] = combo.get(k, 0) + c * x
+        candidate = combo
+    space = Subspace.from_spanning(5, spanning)
+    assert space.contains(candidate) == span_contains(spanning, candidate, 5)
+
+
+def test_contains_on_fraction_valued_basis():
+    space = Subspace.from_spanning(3, [{0: 2, 1: 1}, {1: QQ(1, 3), 2: 1}])
+    assert any(isinstance(v, QQ) for _, _, v in space.basis.entries())
+    assert space.contains({0: 6, 1: QQ(11, 3), 2: 2})
+    assert space.contains({1: QQ(1, 3), 2: 1})
+    assert not space.contains({0: 6, 1: QQ(5, 3), 2: 2})
+    assert not space.contains({0: 1})
+
+
+def test_int_row_primitive_row_with_content_divided_out():
+    assert _int_row({}) == {}
+    assert _int_row({0: 4, 3: -6, 5: 10}) == {0: 2, 3: -3, 5: 5}
+    assert _int_row({1: QQ(1, 2), 2: QQ(-1, 3)}) == {1: 3, 2: -2}
+    assert _int_row({0: QQ(4, 3), 1: 2, 4: QQ(2, 1)}) == {0: 2, 1: 3, 4: 3}
+    # zero entries are dropped, integral Fractions act as ints
+    assert _int_row({0: 0, 1: QQ(6, 1), 2: -9}) == {1: 2, 2: -3}
+    for row in ({0: 3, 1: 5}, {0: QQ(3, 7), 1: QQ(5, 7)}, {0: QQ(3, 2), 1: QQ(5, 2)}):
+        out = _int_row(row)
+        assert out == {0: 3, 1: 5}
+        assert all(type(v) is int for v in out.values())
 
 
 def test_subspace_equal_rejects_ambient_mismatch():
