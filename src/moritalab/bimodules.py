@@ -15,6 +15,35 @@ embeds the quotient as the coordinates at N's non-pivot (free) columns,
 so the quotient action proj @ m @ section is proj @ m restricted to
 those columns: one product per action matrix certifies preservation and
 gives the quotient action.
+
+Two checks use the generator derivation of an algebra (structures):
+generators S and steps t <- (s, u), with e_t a combination of e_s e_u
+and elements derived before t, and associativity verified at (s, u, q)
+for every step and every q. Write L, R for actions, extended linearly to
+algebra elements.
+
+* N is spanned by the relations of S. Let N_a be the span of
+  x.a (x) y - x (x) a.y. If x.(e_s e_u) = (x.e_s).e_u on E and
+  (e_s e_u).y = e_s.(e_u.y) on F (the step identities, compared as whole
+  matrices), then x.(e_s e_u) (x) y - x (x) (e_s e_u).y is the sum of
+  (x.e_s).e_u (x) y - x.e_s (x) e_u.y in N_u and
+  x.e_s (x) e_u.y - x (x) e_s.(e_u.y) in N_s. So N_(e_s e_u) lies in
+  N_s + N_u, and N_t in N_s + N_u + sum of N_r over the other support
+  elements r; by induction over the steps every N_t lies in the span of
+  the N_s for s in S. The RREF is canonical, so the relations are
+  identical to those of all basis triples. If a step identity fails,
+  every basis element is used.
+* The generator rows imply every axiom. Suppose L_s L_q = L_(e_s e_q)
+  for s in S_A and all q. For a step t <- (s, u), c_t L_t = L_s L_u -
+  sum c_r L_r, so by induction on u and the r, c_t L_t L_q =
+  L_s L_(e_u e_q) - sum c_r L_(e_r e_q) = L_(e_s (e_u e_q)) -
+  sum c_r L_(e_r e_q), and associativity at (s, u, q) turns this into
+  c_t L_(e_t e_q). The right action is the mirror image: R_q R_s =
+  R_(e_s e_q) for s in S_B gives R_q R_t = R_(e_t e_q). With both
+  actions multiplicative, L_s R_s' = R_s' L_s on S_A x S_B extends to
+  all of B by induction over B's steps and then to all of A over A's.
+  So check_axioms returns [] once these pairs hold, and otherwise runs
+  the full enumeration, whose violation list is unchanged.
 """
 
 from __future__ import annotations
@@ -57,7 +86,7 @@ class Bimodule:
     """
 
     __slots__ = ("left_algebra", "right_algebra", "dim", "left_action", "right_action",
-                 "labels", "name")
+                 "labels", "name", "_step_checks")
 
     def __init__(self, left_algebra, right_algebra, dim, left_action, right_action,
                  labels=None, name="E", check=True):
@@ -75,6 +104,7 @@ class Bimodule:
         self.right_action = tuple(right_action)
         self.labels = tuple(labels) if labels else tuple(f"x{k}" for k in range(dim))
         self.name = name
+        self._step_checks = {}
         if check:
             bad = self.check_axioms(stop_early=True)
             if bad:
@@ -88,19 +118,25 @@ class Bimodule:
         sum_s c_s R_s for the right action (c = structure vector of the
         pair), and L_p R_q = R_q L_p. One violation is reported per
         offending basis pair.
+
+        When both algebras have a generator derivation, the pairs with a
+        generator first (and generator pairs for commutation) are checked
+        first; if they all hold, every pair holds (module docstring). Any
+        failure there falls through to the full enumeration, which gives
+        the violation list.
         """
+        if self._generator_pairs_hold():
+            return []
         out = []
         A, B = self.left_algebra, self.right_algebra
         left, right = self.left_action, self.right_action
         for p, q in product(range(A.dim), range(A.dim)):
-            vec = A.structure.get((p, q), {})
-            if left[p] @ left[q] != _combination(vec, left, self.dim):
+            if not _left_pair_holds(left, A, p, q):
                 out.append(f"left action not multiplicative at basis pair ({p},{q})")
                 if stop_early:
                     return out
         for p, q in product(range(B.dim), range(B.dim)):
-            vec = B.structure.get((p, q), {})
-            if right[q] @ right[p] != _combination(vec, right, self.dim):
+            if not _right_pair_holds(right, B, p, q):
                 out.append(f"right action not anti-multiplicative at basis pair ({p},{q})")
                 if stop_early:
                     return out
@@ -110,6 +146,37 @@ class Bimodule:
                 if stop_early:
                     return out
         return out
+
+    def _generator_pairs_hold(self) -> bool:
+        """The generator pass of check_axioms: left pairs (s, q) for s in
+        S_A, right pairs (s, q) for s in S_B, and commutation on S_A x S_B."""
+        A, B = self.left_algebra, self.right_algebra
+        da, db = A.derivation(), B.derivation()
+        if da is None or db is None:
+            return False
+        left, right = self.left_action, self.right_action
+        return (
+            all(_left_pair_holds(left, A, s, q) for s in da.generators for q in range(A.dim))
+            and all(_right_pair_holds(right, B, s, q)
+                    for s in db.generators for q in range(B.dim))
+            and all(left[s] @ right[t] == right[t] @ left[s]
+                    for s in da.generators for t in db.generators)
+        )
+
+    def _steps_hold(self, side: str) -> bool:
+        """Whether the action on side (over its algebra) satisfies the
+        module identity at every step pair (s, u) of the algebra's
+        derivation; False when there is no derivation. Cached."""
+        ok = self._step_checks.get(side)
+        if ok is None:
+            if side == "left":
+                alg, actions, holds = self.left_algebra, self.left_action, _left_pair_holds
+            else:
+                alg, actions, holds = self.right_algebra, self.right_action, _right_pair_holds
+            der = alg.derivation()
+            ok = der is not None and all(holds(actions, alg, s, u) for _, s, u in der.steps)
+            self._step_checks[side] = ok
+        return ok
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,17 +195,28 @@ class Bimodule:
         return f"Bimodule({self.name}, dim {self.dim})"
 
 
-def _combination(vec: dict, actions, dim: int) -> RationalMatrix:
+def _combination(vec: dict, actions) -> RationalMatrix:
     """sum_s vec[s] * actions[s]; a single basis element with coefficient
     1 is the action matrix itself."""
     if len(vec) == 1:
         (s, c), = vec.items()
         if c == 1:
             return actions[s]
+    dim = actions[0].rows
     out = RationalMatrix(dim, dim)
     for s, c in vec.items():
         out = out + actions[s].scale(c)
     return out
+
+
+def _left_pair_holds(left, alg: StructureAlgebra, p: int, q: int) -> bool:
+    """L_p L_q = L_(e_p e_q) for a left action."""
+    return left[p] @ left[q] == _combination(alg.structure.get((p, q), {}), left)
+
+
+def _right_pair_holds(right, alg: StructureAlgebra, p: int, q: int) -> bool:
+    """R_q R_p = R_(e_p e_q) for a right action."""
+    return right[q] @ right[p] == _combination(alg.structure.get((p, q), {}), right)
 
 
 class BimoduleMap:
@@ -293,15 +371,29 @@ def tensor(e: Bimodule, f: Bimodule, _check: bool = True) -> Bimodule:
     )
 
 
+def _balancing_rows(e: Bimodule, f: Bimodule, over: StructureAlgebra):
+    """The algebra basis elements q whose relations span the balancing
+    subspace, with the certificate for that: the generators of over's
+    derivation when e's right and f's left action satisfy the module
+    identity at every step pair, else every basis element."""
+    der = over.derivation()
+    if (der is not None and e.right_algebra.derivation() == der == f.left_algebra.derivation()
+            and e._steps_hold("right") and f._steps_hold("left")):
+        return der.generators, "generators"
+    return range(over.dim), "exhaustive"
+
+
 def balancing_subspace(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Subspace:
-    """Span of x.a (x) y - x (x) a.y over all basis triples, in canonical form."""
+    """Span of x.a (x) y - x (x) a.y over all basis triples, in canonical
+    form. The relations of the generators alone span it whenever the step
+    identities hold (module docstring); the RREF is the same either way."""
     if e.right_algebra.dim != over.dim or e.right_algebra != over:
         raise ValueError("e is not a right module over the balancing algebra")
     if f.left_algebra != over:
         raise ValueError("f is not a left module over the balancing algebra")
     fd = f.dim
     vectors = []
-    for q in range(over.dim):
+    for q in _balancing_rows(e, f, over)[0]:
         right_cols = [e.right_action[q].col(p) for p in range(e.dim)]
         left_cols = [f.left_action[q].col(r) for r in range(f.dim)]
         for p in range(e.dim):
@@ -327,13 +419,17 @@ class BalancedTensor:
 
     module is the quotient bimodule; proj is the quotient map from the
     plain tensor product; section is an exact right inverse of proj;
-    relations is the balancing subspace that was divided out.
+    relations is the balancing subspace that was divided out. certificate
+    says how relations was spanned: "generators" (the derivation's
+    generators, step identities verified) or "exhaustive" (every basis
+    element of the balancing algebra).
     """
 
     module: Bimodule
     proj: BimoduleMap
     section: LinearMap
     relations: Subspace
+    certificate: str
 
 
 def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> BalancedTensor:
@@ -372,7 +468,8 @@ def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Balance
         name=f"{e.name}(x)_{over.name}{f.name}",
     )
     proj = BimoduleMap(big, small, q.proj)
-    return BalancedTensor(module=small, proj=proj, section=q.section, relations=rel)
+    return BalancedTensor(module=small, proj=proj, section=q.section, relations=rel,
+                          certificate=_balancing_rows(e, f, over)[1])
 
 
 def induced_map(bt: BalancedTensor, raw: LinearMap, target: Bimodule) -> BimoduleMap:

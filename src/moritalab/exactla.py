@@ -356,11 +356,20 @@ def _rref_rows(rows) -> list[tuple[int, dict]]:
     """
     pivots = _forward_echelon(rows)
     cols = sorted(pivots)
+    # Back-substitution clears pivot columns from the largest down. When
+    # pivot c is cleared, row c already holds no other pivot column, so
+    # combining with it only fills non-pivot columns: the rows holding
+    # pivot column c are exactly those holding it in the forward echelon,
+    # and can be listed once, column by column, before any combining.
+    holders: dict[int, list[int]] = {c: [] for c in cols}
+    for c2 in cols:
+        for k in pivots[c2]:
+            if k != c2 and k in holders:
+                holders[k].append(c2)
     for c in reversed(cols):
         p = pivots[c]
-        for c2 in cols:
-            if c2 != c and c in pivots[c2]:
-                pivots[c2] = _combine(pivots[c2], p, c)
+        for c2 in holders[c]:
+            pivots[c2] = _combine(pivots[c2], p, c)
     out = []
     for c in cols:
         p = pivots[c]
@@ -643,7 +652,8 @@ def kronecker(f: LinearMap, g: LinearMap) -> LinearMap:
     """Matrix of f tensor g in the lexicographic product bases."""
     m = RationalMatrix(f.target_dim * g.target_dim, f.source_dim * g.source_dim)
     gt, gs = g.target_dim, g.source_dim
+    g_entries = list(g.matrix.entries())
     for r1, c1, v1 in f.matrix.entries():
-        for r2, c2, v2 in g.matrix.entries():
+        for r2, c2, v2 in g_entries:
             m._rows[r1 * gt + r2][c1 * gs + c2] = v1 * v2
     return LinearMap(f.source_dim * g.source_dim, f.target_dim * g.target_dim, m)

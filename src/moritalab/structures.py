@@ -5,6 +5,19 @@ finite-dimensional associative algebra with a labeled basis and a sparse
 table of structure constants; associativity is verified eagerly at
 construction, since the constructors are the trust root for everything
 checked downstream.
+
+Each algebra can also give a generator derivation (computed on first use
+and cached): a set S of basis elements and ordered steps t <- (s, u) with
+s in S and u already derived, such that t lies in the support of e_s e_u
+and every other support element of e_s e_u is already derived. Then
+e_t = (e_s e_u - sum_r c_r e_r) / c_t, so every basis element is a
+polynomial in S. The steps are replayed from the structure constants and
+associativity (e_s e_u) e_q = e_s (e_u e_q) is verified at every step
+(s, u) and every basis element q; if a triple fails, there is no
+derivation and callers take their exhaustive paths. S is chosen
+greedily, adding each time the underived element whose closure is
+largest. Bimodule checks use the derivation to test identities on the
+generators' rows only (see bimodules).
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactla import LinearMap, RationalMatrix, nrat, solve, vec_add, vec_scale
@@ -318,7 +332,7 @@ class StructureAlgebra:
     """
 
     __slots__ = ("dim", "labels", "structure", "unit", "name", "_left_cache", "_right_cache",
-                 "_regular_cache")
+                 "_regular_cache", "_derivation_cache")
 
     def __init__(self, dim, labels, structure, unit=None, name="A", check=True, strict=False):
         if len(labels) != dim:
@@ -344,6 +358,7 @@ class StructureAlgebra:
         self._left_cache = {}
         self._right_cache = {}
         self._regular_cache = None
+        self._derivation_cache = None
         if check:
             self._check_associativity(strict=strict)
         if unit is not None:
@@ -399,6 +414,14 @@ class StructureAlgebra:
             if self.mul(u, e) != e or self.mul(e, u) != e:
                 return False
         return True
+
+    def derivation(self) -> "Derivation | None":
+        """The verified generator derivation, or None when a step's
+        associativity triple fails. Computed on first use and cached."""
+        if self._derivation_cache is None:
+            # wrapped in a tuple, since None is a result worth caching too
+            self._derivation_cache = (_derive(self),)
+        return self._derivation_cache[0]
 
     def mul_basis(self, p: int, q: int) -> dict:
         return dict(self.structure.get((p, q), {}))
@@ -520,6 +543,101 @@ class AlgebraElement:
             lbl = self.algebra.labels[k]
             parts.append(f"{v}*{lbl}" if v != 1 else lbl)
         return " + ".join(parts)
+
+
+@dataclass(frozen=True)
+class Derivation:
+    """Generators of an algebra and the steps that derive every other
+    basis element from them.
+
+    A step (t, s, u) derives t from the generator s and the already
+    derived u: t is in the support of e_s e_u, and every other support
+    element of e_s e_u was derived before.
+    """
+
+    generators: tuple
+    steps: tuple
+
+
+def _derive(alg: StructureAlgebra) -> Derivation | None:
+    """Greedy generators and their steps; None when the replay or a
+    step's associativity triple fails."""
+    get = alg.structure.get
+    gens: list[int] = []
+    derived: set[int] = set()
+    steps: list[tuple[int, int, int]] = []
+    waiting: dict[int, list] = {}
+    while len(derived) < alg.dim:
+        best = None
+        for x in range(alg.dim):
+            if x not in derived:
+                trial = _closure(get, gens, derived, waiting, x)
+                if best is None or len(trial[0]) > len(best[0]):
+                    best = trial
+        new, new_steps, parked = best
+        gens.append(new[0])
+        derived.update(new)
+        steps.extend(new_steps)
+        for t in new:
+            waiting.pop(t, None)
+        for r, pairs in parked.items():
+            waiting.setdefault(r, []).extend(pairs)
+    if not _derivation_holds(alg, gens, steps):
+        return None
+    return Derivation(tuple(gens), tuple(steps))
+
+
+def _closure(get, gens, derived, waiting, x):
+    """What the new generator x derives from a closed state, which is left
+    unchanged: the new elements (x first), their steps, and the pairs
+    (s, u) still parked under an underived support element.
+
+    A pair is examined when its last operand is derived and again each
+    time the element it is parked under is derived, so the result is the
+    least closed set containing the state and x.
+    """
+    new = [x]
+    seen = {x}
+    steps = []
+    parked: dict[int, list] = {}
+    gens = gens + [x]
+    pairs = [(x, u) for u in derived]
+    pairs.extend((s, x) for s in gens)
+    pairs.extend(waiting.get(x, ()))
+    while pairs:
+        s, u = pairs.pop()
+        missing = [r for r in get((s, u), ()) if r not in derived and r not in seen]
+        if len(missing) == 1:
+            t = missing[0]
+            new.append(t)
+            seen.add(t)
+            steps.append((t, s, u))
+            pairs.extend((g, t) for g in gens)
+            pairs.extend(waiting.get(t, ()))
+            pairs.extend(parked.pop(t, ()))
+        elif missing:
+            parked.setdefault(min(missing), []).append((s, u))
+    return new, steps, parked
+
+
+def _derivation_holds(alg: StructureAlgebra, gens, steps) -> bool:
+    """Replay the steps from the structure constants, require them to
+    cover the basis, and check (e_s e_u) e_q = e_s (e_u e_q) at every
+    step (s, u) and every basis element q."""
+    get = alg.structure.get
+    generators = set(gens)
+    derived = set(gens)
+    for t, s, u in steps:
+        su = get((s, u), {})
+        if s not in generators or u not in derived or t in derived or t not in su:
+            return False
+        if any(r not in derived for r in su if r != t):
+            return False
+        derived.add(t)
+        for q in range(alg.dim):
+            if alg.mul(su, {q: 1}) != alg.mul({s: 1}, get((u, q), {})):
+                return False
+    return len(derived) == alg.dim
 
 
 def scalar_algebra() -> StructureAlgebra:

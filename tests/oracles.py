@@ -151,3 +151,68 @@ def intertwining_violations(bmap):
                    for r in range(bmap.source.dim)):
                 out.append(f"map does not intertwine {side} action of basis {p}")
     return out
+
+
+# Generator derivations and balancing subspaces, recomputed from the
+# structure constants and the dense action matrices.
+
+
+def _product(structure, x, y):
+    """Product of two sparse algebra elements from the structure constants."""
+    out = {}
+    for p, a in x.items():
+        for q, b in y.items():
+            for r, c in structure.get((p, q), {}).items():
+                out[r] = out.get(r, 0) + a * b * c
+    return {r: v for r, v in out.items() if v}
+
+
+def derivation_failures(alg, der):
+    """Replay a derivation step by step. One message per step that is not
+    a valid step or whose associativity triple (s, u, q) fails, and one if
+    the generators and steps do not cover the basis; empty means the
+    derivation is a certificate."""
+    out = []
+    derived = set(der.generators)
+    if len(derived) != len(der.generators):
+        out.append("repeated generator")
+    for t, s, u in der.steps:
+        su = _product(alg.structure, {s: 1}, {u: 1})
+        if s not in der.generators:
+            out.append(f"step {t}: {s} is not a generator")
+        if u not in derived:
+            out.append(f"step {t}: {u} is not derived yet")
+        if t in derived or t not in su:
+            out.append(f"step {t}: not a new support element of e_{s} e_{u}")
+        if any(r not in derived for r in su if r != t):
+            out.append(f"step {t}: e_{s} e_{u} has another underived support element")
+        for q in range(alg.dim):
+            if _product(alg.structure, su, {q: 1}) != \
+                    _product(alg.structure, {s: 1}, _product(alg.structure, {u: 1}, {q: 1})):
+                out.append(f"step {t}: not associative at ({s},{u},{q})")
+        derived.add(t)
+    if derived != set(range(alg.dim)):
+        out.append(f"derived {len(derived)} of {alg.dim} basis elements")
+    return out
+
+
+def balancing_span(e, f, over):
+    """Reference for balancing_subspace: the dense RREF rows of the span of
+    x.a (x) y - x (x) a.y over every basis triple (x, a, y)."""
+    fd = f.dim
+    vectors = []
+    for q in range(over.dim):
+        right = e.right_action[q].to_dense()
+        left = f.left_action[q].to_dense()
+        for p in range(e.dim):
+            for r in range(fd):
+                v = [Fraction(0)] * (e.dim * fd)
+                for k in range(e.dim):
+                    v[k * fd + r] += right[k][p]
+                for k in range(fd):
+                    v[p * fd + k] -= left[k][r]
+                vectors.append(v)
+    if not vectors:
+        return []
+    m, rk, _ = dense_rref(vectors)
+    return m[:rk]

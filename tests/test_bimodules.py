@@ -46,7 +46,9 @@ from moritalab.bimodules import (
     trace_pairing,
 )
 
-from oracles import axiom_violations, intertwining_violations, span_contains
+from moritalab.morita import witness_brandt_full
+
+from oracles import axiom_violations, balancing_span, intertwining_violations, span_contains
 
 
 def zero_action_module(a, dim):
@@ -419,10 +421,13 @@ def test_bimodule_map_rejects_non_intertwining():
 # ------------------------------------------- matrix checks against a reference
 
 _B12 = semigroup_algebra(brandt(1, cyclic_group(2)))
+_B23 = semigroup_algebra(brandt(2, cyclic_group(3)))
 FAULT_MODULES = [
     regular_bimodule(matrix_algebra(2)),
     regular_bimodule(_B12),
     seeded_random_bimodule(_B12, 5),
+    # 3 generators of 13, so the generator pass checks a proper subset
+    regular_bimodule(_B23),
 ]
 
 
@@ -484,3 +489,84 @@ def test_column_reference_agrees_on_valid_modules():
         assert axiom_violations(mod) == [] == mod.check_axioms()
         ident = BimoduleMap(mod, mod, LinearMap.identity(mod.dim))
         assert intertwining_violations(ident) == [] == ident.intertwining_failures()
+
+
+def test_check_axioms_corrupted_non_generator_action_matches_reference():
+    der = _B23.derivation()
+    assert len(der.generators) == 3 < _B23.dim
+    for p, _, _ in der.steps:
+        for side in ("left", "right"):
+            mod = _corrupt_action(FAULT_MODULES[3], side, p, p, 12, 1)
+            expected = axiom_violations(mod)
+            assert expected, (p, side)
+            assert mod.check_axioms() == expected
+            assert mod.check_axioms(stop_early=True) == expected[:1]
+
+
+def test_check_axioms_reports_non_commuting_valid_actions():
+    # column and row actions of M_n on the index space are each valid but
+    # do not commute, so only the commutation identities fail
+    for n in (2, 3):
+        m = matrix_algebra(n)
+        mod = Bimodule(m, m, n, column_module(n).left_action, row_module(n).right_action,
+                       check=False)
+        expected = axiom_violations(mod)
+        assert expected and all(v.startswith("actions do not commute") for v in expected)
+        assert mod.check_axioms() == expected
+
+
+# ------------------------------------------ balancing from generator relations
+
+_WIT = witness_brandt_full(1, 2, cyclic_group(2))
+BALANCING_CASES = [
+    (FAULT_MODULES[0], FAULT_MODULES[0], matrix_algebra(2)),
+    (FAULT_MODULES[1], FAULT_MODULES[2], _B12),
+    (FAULT_MODULES[2], FAULT_MODULES[1], _B12),
+    (_WIT.p, _WIT.q, _WIT.algebra_a),
+    (_WIT.q, _WIT.p, _WIT.algebra_b),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.integers(0, len(BALANCING_CASES) - 1),
+    fault=st.none() | st.tuples(
+        st.sampled_from(["e", "f"]), st.sampled_from(["left", "right"]),
+        st.integers(0, 10), st.integers(0, 10), st.integers(0, 10),
+        st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+    ),
+)
+def test_balancing_subspace_matches_span_of_all_triples(case, fault):
+    e, f, over = BALANCING_CASES[case]
+    if fault is not None:
+        which, side, p, r, c, delta = fault
+        if which == "e":
+            e = _corrupt_action(e, side, p, r, c, delta)
+        else:
+            f = _corrupt_action(f, side, p, r, c, delta)
+    assert balancing_subspace(e, f, over).basis.to_dense() == balancing_span(e, f, over)
+
+
+def test_balanced_tensor_certificate_generators_on_witness_modules():
+    a, b = _WIT.algebra_a, _WIT.algebra_b
+    assert balanced_tensor(_WIT.p, _WIT.q, a).certificate == "generators"
+    assert balanced_tensor(_WIT.q, _WIT.p, b).certificate == "generators"
+    assert balanced_tensor(regular_bimodule(b), _WIT.p, b).certificate == "generators"
+    assert balanced_tensor(_WIT.p, regular_bimodule(a), a).certificate == "generators"
+
+
+def test_balanced_tensor_certificate_exhaustive_when_step_identity_broken():
+    # zero left action and R_t = 1 for the first derived t, else 0: the
+    # step identity R_u R_s = R_t fails, the outer actions still preserve
+    # the relations, and they are spanned from every basis element
+    m2 = matrix_algebra(2)
+    t = m2.derivation().steps[0][0]
+    zero = RationalMatrix(1, 1)
+    right = [zero] * m2.dim
+    right[t] = RationalMatrix.identity(1)
+    e = Bimodule(m2, m2, 1, [zero] * m2.dim, right, check=False)
+    assert e.check_axioms()
+    reg = regular_bimodule(m2)
+    bt = balanced_tensor(e, reg, m2)
+    assert bt.certificate == "exhaustive"
+    assert bt.relations.basis.to_dense() == balancing_span(e, reg, m2)

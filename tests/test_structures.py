@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from moritalab import structures
 from moritalab.exactla import l1_operator_norm
 from moritalab.structures import (
     BrandtSemigroup,
@@ -32,6 +33,8 @@ from moritalab.structures import (
     symmetric_group,
     triple_basis_iso,
 )
+
+from oracles import derivation_failures
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -344,3 +347,99 @@ def test_algebra_element_arithmetic():
     assert (x * y).coeffs == {1: 1}
     assert (y * x).coeffs == {1: 2}
     assert (x - x).coeffs == {}
+
+
+# ------------------------------------------------------- generator derivations
+
+def _dual_numbers():
+    return StructureAlgebra(
+        2, ["1", "eps"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+        unit={0: 1}, name="dual",
+    )
+
+
+def _zero_multiplication(dim=3):
+    return StructureAlgebra(dim, [f"z{k}" for k in range(dim)], {}, name="null")
+
+
+def _unitriangular_basis(alg):
+    """The same algebra in the basis f_i = e_i + e_(i+1) + ... + e_(d-1),
+    where products have several support elements."""
+    d = alg.dim
+
+    def to_f(vec):
+        # e_j = f_j - f_(j+1)
+        out = {}
+        for j, c in vec.items():
+            out[j] = out.get(j, 0) + c
+            if j + 1 < d:
+                out[j + 1] = out.get(j + 1, 0) - c
+        return {k: v for k, v in out.items() if v}
+
+    structure = {}
+    for p in range(d):
+        for q in range(d):
+            prod = alg.mul({a: 1 for a in range(p, d)}, {b: 1 for b in range(q, d)})
+            if prod:
+                structure[(p, q)] = to_f(prod)
+    return StructureAlgebra(d, [f"f{k}" for k in range(d)], structure, name=f"{alg.name}'")
+
+
+def _derivation_battery():
+    out = []
+    for n in (1, 2, 3):
+        for g in ("C1", "C2", "C3", "S3"):
+            grp = builtin_group(g)
+            out.append(semigroup_algebra(brandt(n, grp)))
+            out.append(contracted_brandt_algebra(n, grp))
+    out += [matrix_algebra(n) for n in (1, 2, 3)]
+    out += [_dual_numbers(), _zero_multiplication()]
+    out += [_unitriangular_basis(matrix_algebra(2)),
+            _unitriangular_basis(semigroup_algebra(brandt(2, cyclic_group(2))))]
+    return out
+
+
+def test_derivation_replays_and_covers_the_basis_on_battery():
+    for alg in _derivation_battery():
+        der = alg.derivation()
+        assert der is not None, alg.name
+        assert derivation_failures(alg, der) == [], alg.name
+        assert len(der.generators) + len(der.steps) == alg.dim
+        assert alg.derivation() is der
+
+
+def test_derivation_generator_counts():
+    cases = [
+        (semigroup_algebra(brandt(2, cyclic_group(3))), 3),
+        (semigroup_algebra(brandt(3, cyclic_group(3))), 5),
+        (semigroup_algebra(brandt(4, cyclic_group(1))), 6),
+        (semigroup_algebra(brandt(2, symmetric_group(3))), 3),
+        (matrix_algebra(3), 5),
+    ]
+    for alg, count in cases:
+        assert len(alg.derivation().generators) == count, alg.name
+
+
+def test_zero_multiplication_algebra_lists_every_element_as_generator():
+    der = _zero_multiplication(4).derivation()
+    assert der.generators == (0, 1, 2, 3)
+    assert der.steps == ()
+
+
+def test_non_associative_unchecked_algebra_has_no_derivation():
+    # x*x = y, x*y = x: the step y <- (x, x) fails associativity at (x, x, x)
+    bad = StructureAlgebra(2, ["x", "y"], {(0, 0): {1: 1}, (0, 1): {0: 1}}, check=False)
+    assert bad.derivation() is None
+
+
+def test_derivation_replay_rejects_forged_steps():
+    alg = semigroup_algebra(brandt(2, cyclic_group(3)))
+    der = alg.derivation()
+    gens, steps = list(der.generators), list(der.steps)
+    assert structures._derivation_holds(alg, gens, steps)
+    assert not structures._derivation_holds(alg, gens, steps[:-1])
+    assert not structures._derivation_holds(alg, gens, steps[::-1])
+    assert not structures._derivation_holds(alg, gens[1:], steps)
+    t, s, u = steps[0]
+    wrong = next(x for x in range(alg.dim) if x != t and x not in gens)
+    assert not structures._derivation_holds(alg, gens, [(wrong, s, u)] + steps[1:])
