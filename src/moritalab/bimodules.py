@@ -18,9 +18,10 @@ gives the quotient action.
 
 Two checks use the generator derivation of an algebra (structures):
 generators S and steps t <- (s, u), with e_t a combination of e_s e_u
-and elements derived before t, and associativity verified at (s, u, q)
-for every step and every q. Write L, R for actions, extended linearly to
-algebra elements.
+and elements derived before t. An algebra with a derivation is
+associative at every basis triple, since the derivation is only given
+once its generator rows certify that. Write L, R for actions, extended
+linearly to algebra elements.
 
 * N is spanned by the relations of S. Let N_a be the span of
   x.a (x) y - x (x) a.y. If x.(e_s e_u) = (x.e_s).e_u on E and
@@ -58,6 +59,7 @@ from .exactla import (
     RationalMatrix,
     Subspace,
     kronecker,
+    linear_combination,
     quotient,
     vec_sub,
 )
@@ -195,28 +197,14 @@ class Bimodule:
         return f"Bimodule({self.name}, dim {self.dim})"
 
 
-def _combination(vec: dict, actions) -> RationalMatrix:
-    """sum_s vec[s] * actions[s]; a single basis element with coefficient
-    1 is the action matrix itself."""
-    if len(vec) == 1:
-        (s, c), = vec.items()
-        if c == 1:
-            return actions[s]
-    dim = actions[0].rows
-    out = RationalMatrix(dim, dim)
-    for s, c in vec.items():
-        out = out + actions[s].scale(c)
-    return out
-
-
 def _left_pair_holds(left, alg: StructureAlgebra, p: int, q: int) -> bool:
     """L_p L_q = L_(e_p e_q) for a left action."""
-    return left[p] @ left[q] == _combination(alg.structure.get((p, q), {}), left)
+    return left[p] @ left[q] == linear_combination(alg.structure.get((p, q), {}), left)
 
 
 def _right_pair_holds(right, alg: StructureAlgebra, p: int, q: int) -> bool:
     """R_q R_p = R_(e_p e_q) for a right action."""
-    return right[q] @ right[p] == _combination(alg.structure.get((p, q), {}), right)
+    return right[q] @ right[p] == linear_combination(alg.structure.get((p, q), {}), right)
 
 
 class BimoduleMap:
@@ -439,7 +427,9 @@ def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Balance
 
     One product pm = proj @ m per action matrix m serves both: m preserves
     the balancing subspace exactly when pm kills its basis, and the
-    quotient action proj @ m @ section is pm on the free columns.
+    quotient action proj @ m @ section is pm on the free columns. The
+    same pm certifies that proj intertwines m with the quotient action
+    t: pm == t @ proj.
 
     The intermediate tensor skips the axiom re-check: for valid inputs the
     outer actions satisfy the axioms identically, and for broken inputs
@@ -451,24 +441,28 @@ def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Balance
     rel_cols = rel.basis.transpose()
     pivots = set(rel.pivot_columns())
     free = {j: t for t, j in enumerate(j for j in range(big.dim) if j not in pivots)}
+    proj = q.proj.matrix
     actions = {"left": [], "right": []}
     for side, mats in (("left", big.left_action), ("right", big.right_action)):
         for p, m in enumerate(mats):
-            pm = q.proj.matrix @ m
+            pm = proj @ m
             if not (pm @ rel_cols).is_zero():
                 raise ActionNotWellDefined(
                     f"{side} action of basis {p} does not preserve the balancing subspace"
                 )
-            actions[side].append(RationalMatrix.from_rows(
+            t = RationalMatrix.from_rows(
                 [{free[j]: v for j, v in row.items() if j in free} for row in pm._rows],
                 q.dim,
-            ))
+            )
+            if pm != t @ proj:
+                raise IntertwiningError(f"map does not intertwine {side} action of basis {p}")
+            actions[side].append(t)
     small = Bimodule(
         big.left_algebra, big.right_algebra, q.dim, actions["left"], actions["right"],
         name=f"{e.name}(x)_{over.name}{f.name}",
     )
-    proj = BimoduleMap(big, small, q.proj)
-    return BalancedTensor(module=small, proj=proj, section=q.section, relations=rel,
+    return BalancedTensor(module=small, proj=BimoduleMap(big, small, q.proj, check=False),
+                          section=q.section, relations=rel,
                           certificate=_balancing_rows(e, f, over)[1])
 
 
@@ -567,6 +561,14 @@ def induced_completion(a: StructureAlgebra, f: Bimodule) -> Bimodule:
     return two
 
 
+def _extend_block(m: RationalMatrix, dim: int) -> RationalMatrix:
+    """m as the top-left block of a dim x dim matrix, zero elsewhere."""
+    out = RationalMatrix(dim, dim)
+    for r, row in enumerate(m._rows):
+        out._rows[r] = dict(row)
+    return out
+
+
 def seeded_random_bimodule(a: StructureAlgebra, seed: int) -> Bimodule:
     """A deterministic pseudo-random valid bimodule over a.
 
@@ -578,18 +580,6 @@ def seeded_random_bimodule(a: StructureAlgebra, seed: int) -> Bimodule:
     base = regular_bimodule(a) if rng.random() < 0.5 else dual_bimodule(regular_bimodule(a))
     pad = rng.randrange(0, 2)
     dim = base.dim + pad
-    left = []
-    for m in base.left_action:
-        mm = RationalMatrix(dim, dim)
-        for r, c, v in m.entries():
-            mm._rows[r][c] = v
-        left.append(mm)
-    right = []
-    for m in base.right_action:
-        mm = RationalMatrix(dim, dim)
-        for r, c, v in m.entries():
-            mm._rows[r][c] = v
-        right.append(mm)
     u = RationalMatrix.identity(dim)
     uinv = RationalMatrix.identity(dim)
     for _ in range(3 * dim):
@@ -611,8 +601,8 @@ def seeded_random_bimodule(a: StructureAlgebra, seed: int) -> Bimodule:
         u._colcache = None
         uinv._colcache = None
     assert u @ uinv == RationalMatrix.identity(dim)
-    left = [u @ m @ uinv for m in left]
-    right = [u @ m @ uinv for m in right]
+    left = [u @ _extend_block(m, dim) @ uinv for m in base.left_action]
+    right = [u @ _extend_block(m, dim) @ uinv for m in base.right_action]
     return Bimodule(
         a, a, dim, left, right, name=f"random({a.name},seed={seed})",
     )

@@ -219,6 +219,19 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
+def linear_combination(coeffs: dict, mats) -> RationalMatrix:
+    """sum_s coeffs[s] * mats[s], all of one shape; a single term with
+    coefficient 1 is the matrix mats[s] itself."""
+    if len(coeffs) == 1:
+        (s, c), = coeffs.items()
+        if c == 1:
+            return mats[s]
+    out = RationalMatrix(mats[0].rows, mats[0].cols)
+    for s, c in coeffs.items():
+        out = out + mats[s].scale(c)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Elimination engine. Rows are primitive integer dicts during elimination;
 # canonical output is normalized back to fractions at the very end.
@@ -487,7 +500,7 @@ class LinearMap:
         return LinearMap(other.source_dim, self.target_dim, self.matrix @ other.matrix)
 
     def rank(self) -> int:
-        return len(_forward_echelon(self.matrix._rows))
+        return rank(self.matrix)
 
     def __eq__(self, other) -> bool:
         return (
@@ -517,21 +530,25 @@ def rank(m: RationalMatrix) -> int:
     return len(_forward_echelon(m._rows))
 
 
-def kernel(f: LinearMap) -> Subspace:
-    """Canonical basis of {x : f(x) = 0}."""
+def _kernel_vectors(f: LinearMap):
+    """Nullspace basis vectors of f, one per non-pivot column of its RREF,
+    yielded lazily."""
     rr = _rref_rows(f.matrix._rows)
     pivot_set = {c for c, _ in rr}
-    vectors = []
     for free in range(f.source_dim):
         if free in pivot_set:
             continue
         v = {free: 1}
         for c, row in rr:
-            a = row.get(free)
-            if a:
-                v[c] = -a
-        vectors.append(v)
-    return Subspace.from_spanning(f.source_dim, vectors)
+            x = row.get(free)
+            if x:
+                v[c] = -x
+        yield v
+
+
+def kernel(f: LinearMap) -> Subspace:
+    """Canonical basis of {x : f(x) = 0}."""
+    return Subspace.from_spanning(f.source_dim, _kernel_vectors(f))
 
 
 def image(f: LinearMap) -> Subspace:

@@ -38,7 +38,9 @@ from .exactla import (
     Subspace,
     _echelon_insert,
     _forward_echelon,
-    _rref_rows,
+    _kernel_vectors,
+    image,
+    kernel,
     kronecker,
     solve,
 )
@@ -297,21 +299,6 @@ def _representatives(kernel_vectors, boundary_pivots: dict, want: int) -> list:
     return reps
 
 
-def _kernel_vectors(b: LinearMap):
-    """Nullspace basis vectors of b, yielded lazily."""
-    rr = _rref_rows(b.matrix._rows)
-    pivot_set = {c for c, _ in rr}
-    for free in range(b.source_dim):
-        if free in pivot_set:
-            continue
-        v = {free: 1}
-        for c, row in rr:
-            x = row.get(free)
-            if x:
-                v[c] = -x
-        yield v
-
-
 def hochschild_homology(a: StructureAlgebra, e: Bimodule, n: int,
                         size_limit: int = DEFAULT_SIZE_LIMIT,
                         complex: ChainComplex | None = None) -> HomologyResult:
@@ -413,8 +400,6 @@ def derivation_space(a: StructureAlgebra, e: Bimodule) -> DerivationSpaces:
                         del eq[t][slot(p, m)]
             rows.extend(r for r in eq if r)
     system = LinearMap(unknowns, len(rows), RationalMatrix.from_rows(rows, unknowns))
-    from .exactla import image, kernel
-
     derivations = kernel(system)
     inner_cols = []
     for m in range(de):

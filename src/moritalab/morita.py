@@ -20,11 +20,13 @@ from .exactla import (
     inverse,
     kernel,
     l1_operator_norm,
+    linear_combination,
     subspace_equal,
 )
 from .bimodules import (
     Bimodule,
     BimoduleMap,
+    _extend_block,
     balanced_tensor,
     column_module,
     induced_map,
@@ -424,13 +426,6 @@ def witness_brandt_contracted(i_size: int, j_size: int, g: FiniteGroup) -> Morit
     return _certify(MoritaWitness(a, b, p, q, iso_pq, iso_qp))
 
 
-def _extend_block(m: RationalMatrix, dim: int) -> RationalMatrix:
-    out = RationalMatrix(dim, dim)
-    for r, c, v in m.entries():
-        out._rows[r][c] = v
-    return out
-
-
 def _star_block(dim: int) -> RationalMatrix:
     out = RationalMatrix(dim, dim)
     out._rows[dim - 1][dim - 1] = 1
@@ -440,15 +435,7 @@ def _star_block(dim: int) -> RationalMatrix:
 def _transport_actions(base_actions, theta: LinearMap):
     """Actions of the semigroup algebra obtained by pushing its basis
     through theta into the direct sum and combining the sum actions."""
-    out = []
-    for s in range(theta.source_dim):
-        coeffs = theta.col(s)
-        dim = base_actions[0].rows
-        acc = RationalMatrix(dim, dim)
-        for k, c in coeffs.items():
-            acc = acc + base_actions[k].scale(c)
-        out.append(acc)
-    return out
+    return [linear_combination(theta.col(s), base_actions) for s in range(theta.source_dim)]
 
 
 def witness_brandt_full(i_size: int, j_size: int, g: FiniteGroup) -> MoritaWitness:

@@ -2,38 +2,58 @@
 
 Groups are ingested as Cayley tables only. Every algebra built here is a
 finite-dimensional associative algebra with a labeled basis and a sparse
-table of structure constants; associativity is verified eagerly at
-construction, since the constructors are the trust root for everything
-checked downstream.
+table of structure constants; associativity is verified exactly at
+construction, whatever the dimension, since the constructors are the
+trust root for everything checked downstream.
 
-Each algebra can also give a generator derivation (computed on first use
-and cached): a set S of basis elements and ordered steps t <- (s, u) with
+The certificate is a generator derivation (computed on first use and
+cached): a set S of basis elements and ordered steps t <- (s, u) with
 s in S and u already derived, such that t lies in the support of e_s e_u
 and every other support element of e_s e_u is already derived. Then
-e_t = (e_s e_u - sum_r c_r e_r) / c_t, so every basis element is a
-polynomial in S. The steps are replayed from the structure constants and
-associativity (e_s e_u) e_q = e_s (e_u e_q) is verified at every step
-(s, u) and every basis element q; if a triple fails, there is no
-derivation and callers take their exhaustive paths. S is chosen
-greedily, adding each time the underived element whose closure is
-largest. Bimodule checks use the derivation to test identities on the
-generators' rows only (see bimodules).
+c_t e_t = e_s e_u - sum_v c_v e_v with every v derived before t, so every
+basis element is a polynomial in S. S is chosen greedily, adding each
+time the underived element whose closure is largest. The steps are
+replayed from the structure constants, and with L_p the matrix of left
+multiplication by e_p, L_s L_q = L_(e_s e_q) is compared as whole sparse
+matrices for every s in S and every basis element q. Column r of that
+identity is associativity at (s, q, r).
+
+These generator rows give every triple, by induction over the steps.
+Associativity at (x, q, r) is linear in x and holds for x in S. For a
+step t <- (s, u), assume it for x = e_u and x = e_v for every v above,
+all derived before t; it remains to show it for x = e_s e_u. The
+generator rows at (s, u, q), (s, e_u e_q, r) and (s, u, e_q e_r) and the
+assumption at (u, q, r) give
+
+    ((e_s e_u) e_q) e_r = (e_s (e_u e_q)) e_r = e_s ((e_u e_q) e_r)
+                        = e_s (e_u (e_q e_r)) = (e_s e_u)(e_q e_r).
+
+So |S| d matrix products certify all d^3 basis triples. When a generator
+row fails there is no derivation: a checked algebra refuses to be built
+and names a failing triple, and derivation() of an unchecked one is None,
+so callers take their exhaustive paths. Bimodule checks use the
+derivation to test identities on the generators' rows only (see
+bimodules).
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import LinearMap, RationalMatrix, nrat, solve, vec_add, vec_scale
+from .exactla import (
+    LinearMap,
+    RationalMatrix,
+    linear_combination,
+    nrat,
+    solve,
+    vec_add,
+    vec_scale,
+)
 
 QQ = Fraction
-
-ASSOC_FULL_LIMIT = 200
-ASSOC_SAMPLE = 4000
 
 
 class CayleyTableError(ValueError):
@@ -326,15 +346,16 @@ class StructureAlgebra:
     """Associative algebra with a labeled basis and sparse structure constants.
 
     structure[(p, q)] holds the sparse coefficient vector of e_p * e_q;
-    pairs with zero product are absent. Associativity is checked on all
-    basis triples at construction (sampled above ASSOC_FULL_LIMIT unless
-    strict is set). A claimed unit is verified against every basis vector.
+    pairs with zero product are absent. Unless check is False,
+    construction certifies associativity on every basis triple through
+    the generator derivation (module docstring) and verifies a claimed
+    unit against every basis vector.
     """
 
     __slots__ = ("dim", "labels", "structure", "unit", "name", "_left_cache", "_right_cache",
                  "_regular_cache", "_derivation_cache")
 
-    def __init__(self, dim, labels, structure, unit=None, name="A", check=True, strict=False):
+    def __init__(self, dim, labels, structure, unit=None, name="A", check=True):
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
         clean = {}
@@ -359,54 +380,14 @@ class StructureAlgebra:
         self._right_cache = {}
         self._regular_cache = None
         self._derivation_cache = None
-        if check:
-            self._check_associativity(strict=strict)
+        if check and self.derivation() is None:
+            p, q, r = _associativity_failure(self, range(dim))
+            raise ValueError(f"algebra {name} is not associative at basis triple ({p},{q},{r})")
         if unit is not None:
             u = {k: nrat(v) for k, v in unit.items() if v}
             if check and not self._is_two_sided_unit(u):
                 raise ValueError(f"claimed unit of {name} is not a two-sided identity")
             self.unit = u
-
-    def _check_associativity(self, strict=False):
-        d = self.dim
-        if d <= ASSOC_FULL_LIMIT or strict:
-            triples = itertools.product(range(d), repeat=3)
-        else:
-            rng = random.Random(0xA55)
-            triples = (
-                (rng.randrange(d), rng.randrange(d), rng.randrange(d))
-                for _ in range(ASSOC_SAMPLE)
-            )
-        get = self.structure.get
-        for p, q, r in triples:
-            left = {}
-            pq = get((p, q))
-            if pq:
-                for s, x in pq.items():
-                    sr = get((s, r))
-                    if sr:
-                        for t, y in sr.items():
-                            z = left.get(t, 0) + x * y
-                            if z:
-                                left[t] = z
-                            elif t in left:
-                                del left[t]
-            right = {}
-            qr = get((q, r))
-            if qr:
-                for s, x in qr.items():
-                    ps = get((p, s))
-                    if ps:
-                        for t, y in ps.items():
-                            z = right.get(t, 0) + x * y
-                            if z:
-                                right[t] = z
-                            elif t in right:
-                                del right[t]
-            if left != right:
-                raise ValueError(
-                    f"algebra {self.name} is not associative at basis triple ({p},{q},{r})"
-                )
 
     def _is_two_sided_unit(self, u: dict) -> bool:
         for p in range(self.dim):
@@ -416,8 +397,8 @@ class StructureAlgebra:
         return True
 
     def derivation(self) -> "Derivation | None":
-        """The verified generator derivation, or None when a step's
-        associativity triple fails. Computed on first use and cached."""
+        """The verified generator derivation, or None when the algebra is
+        not associative. Computed on first use and cached."""
         if self._derivation_cache is None:
             # wrapped in a tuple, since None is a result worth caching too
             self._derivation_cache = (_derive(self),)
@@ -560,8 +541,8 @@ class Derivation:
 
 
 def _derive(alg: StructureAlgebra) -> Derivation | None:
-    """Greedy generators and their steps; None when the replay or a
-    step's associativity triple fails."""
+    """Greedy generators and their steps; None when _derivation_holds
+    fails, that is when the algebra is not associative."""
     get = alg.structure.get
     gens: list[int] = []
     derived: set[int] = set()
@@ -622,8 +603,8 @@ def _closure(get, gens, derived, waiting, x):
 
 def _derivation_holds(alg: StructureAlgebra, gens, steps) -> bool:
     """Replay the steps from the structure constants, require them to
-    cover the basis, and check (e_s e_u) e_q = e_s (e_u e_q) at every
-    step (s, u) and every basis element q."""
+    cover the basis, and check associativity on the generator rows, which
+    then holds at every basis triple (module docstring)."""
     get = alg.structure.get
     generators = set(gens)
     derived = set(gens)
@@ -634,10 +615,23 @@ def _derivation_holds(alg: StructureAlgebra, gens, steps) -> bool:
         if any(r not in derived for r in su if r != t):
             return False
         derived.add(t)
+    return len(derived) == alg.dim and _associativity_failure(alg, gens) is None
+
+
+def _associativity_failure(alg: StructureAlgebra, rows):
+    """The first basis triple (s, q, r) with s in rows at which
+    (e_s e_q) e_r != e_s (e_q e_r), or None. For each s and q the whole
+    matrices L_s L_q and L_(e_s e_q) are compared; r is the first column
+    where they differ."""
+    left = [alg.left_mult_matrix(p) for p in range(alg.dim)]
+    for s in rows:
         for q in range(alg.dim):
-            if alg.mul(su, {q: 1}) != alg.mul({s: 1}, get((u, q), {})):
-                return False
-    return len(derived) == alg.dim
+            lhs = left[s] @ left[q]
+            rhs = linear_combination(alg.structure.get((s, q), {}), left)
+            if lhs != rhs:
+                r = next(r for r in range(alg.dim) if lhs.col(r) != rhs.col(r))
+                return s, q, r
+    return None
 
 
 def scalar_algebra() -> StructureAlgebra:

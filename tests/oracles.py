@@ -167,6 +167,20 @@ def _product(structure, x, y):
     return {r: v for r, v in out.items() if v}
 
 
+def associativity_failures(alg):
+    """Every basis triple (p, q, r) with (e_p e_q) e_r != e_p (e_q e_r),
+    found by trying all d^3 of them."""
+    d, st = alg.dim, alg.structure
+    out = []
+    for p in range(d):
+        for q in range(d):
+            pq = _product(st, {p: 1}, {q: 1})
+            for r in range(d):
+                if _product(st, pq, {r: 1}) != _product(st, {p: 1}, _product(st, {q: 1}, {r: 1})):
+                    out.append((p, q, r))
+    return out
+
+
 def derivation_failures(alg, der):
     """Replay a derivation step by step. One message per step that is not
     a valid step or whose associativity triple (s, u, q) fails, and one if

@@ -3,8 +3,11 @@
 import itertools
 import os
 import random
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moritalab import structures
 from moritalab.exactla import l1_operator_norm
@@ -34,7 +37,7 @@ from moritalab.structures import (
     triple_basis_iso,
 )
 
-from oracles import derivation_failures
+from oracles import associativity_failures, derivation_failures
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -318,19 +321,27 @@ def test_constructor_rejects_nonassociative_structure():
         StructureAlgebra(2, ["x", "y"], {(0, 0): {1: 1}, (0, 1): {0: 1}})
 
 
-def test_associativity_sampled_above_limit():
-    # dim 225 > 200: construction switches to the seeded sample and stays
-    # fast; the table itself is the usual matrix-units one
+def _corrupted_m15(m15, check):
+    # e_(1,1) e_(1,1) = 2 e_(1,1): (e_11 e_11) e_12 = 2 e_12 but
+    # e_11 (e_11 e_12) = e_12
+    structure = dict(m15.structure)
+    structure[(0, 0)] = {0: 2}
+    return StructureAlgebra(m15.dim, m15.labels, structure, name="M15'", check=check)
+
+
+def test_associativity_exact_at_dimension_225():
     big = matrix_algebra(15)
     assert big.dim == 225
+    assert big.derivation() is not None
     d12 = big.label_index("(1,2)")
     d23 = big.label_index("(2,3)")
     assert big.mul_basis(d12, d23) == {big.label_index("(1,3)"): 1}
+    with pytest.raises(ValueError, match=r"algebra M15' is not associative at basis triple"):
+        _corrupted_m15(big, check=True)
 
 
-def test_strict_flag_forces_full_check_on_small_algebra():
-    m2 = matrix_algebra(2)
-    StructureAlgebra(m2.dim, m2.labels, m2.structure, unit=m2.unit, strict=True)
+def test_corrupted_m15_unchecked_has_no_derivation():
+    assert _corrupted_m15(matrix_algebra(15), check=False).derivation() is None
 
 
 def test_constructor_rejects_false_unit():
@@ -397,6 +408,33 @@ def _derivation_battery():
     out += [_unitriangular_basis(matrix_algebra(2)),
             _unitriangular_basis(semigroup_algebra(brandt(2, cyclic_group(2))))]
     return out
+
+
+_BATTERY = _derivation_battery()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(0, len(_BATTERY) - 1),
+    pqr=st.tuples(st.integers(0, 60), st.integers(0, 60), st.integers(0, 60)),
+    value=st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]),
+)
+def test_constructor_rejects_exactly_the_non_associative_constant_changes(k, pqr, value):
+    alg = _BATTERY[k]
+    p, q, r = (x % alg.dim for x in pqr)
+    structure = {key: dict(vec) for key, vec in alg.structure.items()}
+    structure.setdefault((p, q), {})[r] = value
+    unchecked = StructureAlgebra(alg.dim, alg.labels, structure, check=False)
+    expected = associativity_failures(unchecked)
+    assert (unchecked.derivation() is None) == bool(expected)
+    try:
+        StructureAlgebra(alg.dim, alg.labels, structure, name="changed")
+    except ValueError as err:
+        named = re.fullmatch(r"algebra changed is not associative at basis triple "
+                             r"\((\d+),(\d+),(\d+)\)", str(err))
+        assert named and tuple(map(int, named.groups())) in expected
+    else:
+        assert expected == []
 
 
 def test_derivation_replays_and_covers_the_basis_on_battery():
