@@ -18,6 +18,16 @@ every column or row ("exhaustive"). The bound is met exactly when the
 homology one degree down vanishes, so non-vanishing degrees are always
 eliminated to the end, and only such echelons feed representatives.
 
+The column path first chooses, by XOR on bitmasks, columns whose
+primitive integer forms are independent mod 2, up to the bound. They are
+independent over Q too: an integer dependency divided by its content has
+an odd coefficient, so it survives reduction mod 2. Exact elimination of
+the chosen columns therefore never reduces one to zero; when there are as
+many as the bound, it proves the rank ("bound"). Under 2-torsion fewer
+may be found, or a faulty choice may fall short exactly; then every
+column is eliminated as before. No rank rests on mod-2 arithmetic: it
+only decides which columns the exact elimination sees.
+
 The row path first eliminates the rows of b_n restricted to the columns
 behind the column pivots. That submatrix's rank is a lower bound on rank
 b_n whatever the columns are, so a wrong column set can only fail to
@@ -39,6 +49,7 @@ from .exactla import (
     _echelon_insert,
     _forward_echelon,
     _kernel_vectors,
+    _mod2_independent,
     image,
     kernel,
     kronecker,
@@ -127,13 +138,26 @@ class ChainComplex:
         return len(self.col_pivots(n))
 
     def col_pivots(self, n: int) -> dict:
-        """Column echelon of b_n, ended once its pivots reach the rank bound."""
+        """Column echelon of b_n, ended once its pivots reach the rank bound.
+
+        Columns independent mod 2 are chosen first; being independent over
+        Q as well, they are eliminated exactly and, when there are as many
+        as the bound, prove the rank. Otherwise every column is eliminated.
+        """
         key = ("col", n)
         if key not in self._echelons:
             bound = self._rank_bound(n, self.col_rank)
+            cols = self.boundary(n).matrix._columns()
+            picked = _mod2_independent(cols, bound)
+            piv: dict = {}
             sources: list = []
-            piv = _forward_echelon(self.boundary(n).matrix._columns(),
-                                   stop_at=bound, sources=sources)
+            if len(picked) == bound:
+                piv = _forward_echelon([cols[i] for i in picked],
+                                       stop_at=bound, sources=sources)
+                sources = [picked[i] for i in sources]
+            if len(piv) < bound:
+                sources = []
+                piv = _forward_echelon(cols, stop_at=bound, sources=sources)
             self._echelons[key] = piv
             self._col_sources[n] = sources
             self.certificates[key] = "bound" if len(piv) == bound else "exhaustive"

@@ -4,6 +4,7 @@ Dense textbook Gaussian elimination over Fractions, written with no code
 shared with the package; the point is a second opinion, not speed.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -49,6 +50,36 @@ def dense_rref(mat):
 
 def dense_rank(mat):
     return dense_rref(mat)[1]
+
+
+def dense_rank_mod2(mat):
+    """Rank over GF(2) of the rows, each first scaled to a primitive
+    integer vector (denominators cleared, content divided out)."""
+    masks = []
+    for row in mat:
+        row = [Fraction(x) for x in row]
+        den = 1
+        for x in row:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+        ints = [int(x * den) for x in row]
+        content = 0
+        for v in ints:
+            content = math.gcd(content, v)
+        bits = [(v // content) % 2 if content else 0 for v in ints]
+        masks.append(bits)
+    # plain Gaussian elimination over GF(2), one pivot column at a time
+    rank = 0
+    ncols = len(masks[0]) if masks else 0
+    for c in range(ncols):
+        hit = next((i for i in range(rank, len(masks)) if masks[i][c]), None)
+        if hit is None:
+            continue
+        masks[rank], masks[hit] = masks[hit], masks[rank]
+        for i in range(len(masks)):
+            if i != rank and masks[i][c]:
+                masks[i] = [a ^ b for a, b in zip(masks[i], masks[rank])]
+        rank += 1
+    return rank
 
 
 def dense_nullity(mat):

@@ -256,20 +256,20 @@ def test_missing_group_file_is_config_error(capsys):
     assert "group" in capsys.readouterr().err
 
 
-def test_cli_subprocess_smoke():
+def test_cli_subprocess_smoke(child_env):
     result = subprocess.run(
         [sys.executable, "-m", "moritalab.cli", "verify", "--check", "lemma1",
          "--i", "1,2"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=child_env,
     )
     assert result.returncode == 0
     assert "PASS" in result.stdout
 
 
-def test_cli_help_subprocess():
+def test_cli_help_subprocess(child_env):
     result = subprocess.run(
         [sys.executable, "-m", "moritalab.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=child_env,
     )
     assert result.returncode == 0
     assert "usage:" in result.stdout.lower()

@@ -15,9 +15,10 @@ def test_demos_exist():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[os.path.basename(d) for d in DEMOS])
-def test_demo_runs(script):
+def test_demo_runs(script, child_env):
     result = subprocess.run(
         [sys.executable, script], capture_output=True, text=True, timeout=300,
+        env=child_env,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

@@ -12,6 +12,7 @@ from moritalab.exactla import (
     Subspace,
     _forward_echelon,
     _int_row,
+    _mod2_independent,
     image,
     inverse,
     kernel,
@@ -24,7 +25,7 @@ from moritalab.exactla import (
 )
 from moritalab.structures import matrix_algebra
 
-from oracles import dense_rank, dense_rref, matrix_of_linear_map, span_contains
+from oracles import dense_rank, dense_rank_mod2, dense_rref, matrix_of_linear_map, span_contains
 
 
 def random_matrix(rng, rows, cols, density=0.5, span=5):
@@ -399,3 +400,36 @@ def test_forward_echelon_stops_at_rank_bound(rows, extra):
         part = _forward_echelon(rows, stop_at=stop)
         assert len(part) == stop
         assert all(full[c] == row for c, row in part.items())
+
+
+# rows with even entries and halves, so that 2-torsion (rank mod 2 below
+# the rank over Q) is common
+mod2_rows = st.lists(st.dictionaries(
+    st.integers(0, 5),
+    st.one_of(st.integers(-4, 4),
+              st.fractions(min_value=-2, max_value=2, max_denominator=4)),
+    max_size=4,
+), max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=mod2_rows, limit=st.integers(0, 7))
+def test_mod2_independent_matches_dense_oracles(rows, limit):
+    dense = [[QQ(r.get(c, 0)) for c in range(6)] for r in rows]
+    picked = _mod2_independent(rows, limit)
+    assert len(set(picked)) == len(picked) <= limit
+    assert all(0 <= i < len(rows) for i in picked)
+    # independent mod 2, hence independent over Q
+    assert dense_rank([dense[i] for i in picked]) == len(picked)
+    assert len(picked) == min(limit, dense_rank_mod2(dense))
+
+
+def test_mod2_independent_misses_two_torsion():
+    # e_0 + e_1, e_1 + e_2, e_0 + e_2 are independent over Q (det 2) but
+    # sum to zero mod 2; a row of content 2 still counts once primitive
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {3: 2}]
+    assert dense_rank([[QQ(r.get(c, 0)) for c in range(4)] for r in rows]) == 4
+    picked = _mod2_independent(rows, 4)
+    assert len(picked) == 3 and 3 in picked
+    # sparsest first: the one-entry row is taken first
+    assert picked[0] == 3

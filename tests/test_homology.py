@@ -32,7 +32,8 @@ from moritalab.homology import (
     hochschild_homology,
     vanishing_suite,
 )
-from moritalab.exactla import LinearMap, RationalMatrix
+from moritalab import homology
+from moritalab.exactla import LinearMap, RationalMatrix, _forward_echelon, _mod2_independent
 
 from oracles import dense_rank, matrix_of_linear_map
 
@@ -136,16 +137,23 @@ def dual_numbers():
     )
 
 
-def test_rank_arithmetic_cross_checked_against_dense_oracle():
-    # both elimination paths, in every degree, whichever way each rank
-    # was certified
+def rank_battery():
+    """(name, bar complex up to b_3) for scalars, M_2, B(1,C2), the dual
+    numbers and a seeded random completion over B(1,C2); fresh complexes,
+    so no rank is cached yet."""
     b1c2 = semigroup_algebra(brandt(1, cyclic_group(2)))
     random_completion = induced_completion(b1c2, seeded_random_bimodule(b1c2, 4))
     cases = [(a.name, bar_complex(a, regular_bimodule(a), 2))
              for a in (scalar_algebra(), matrix_algebra(2), b1c2, dual_numbers())]
     cases.append(("random completion", bar_complex(b1c2, random_completion, 2)))
+    return cases
+
+
+def test_rank_arithmetic_cross_checked_against_dense_oracle():
+    # both elimination paths, in every degree, whichever way each rank
+    # was certified
     certs = set()
-    for name, cx in cases:
+    for name, cx in rank_battery():
         for n in range(1, len(cx.boundaries) + 1):
             dense = dense_rank(matrix_of_linear_map(cx.boundary(n)))
             assert cx.col_rank(n) == dense, (name, n)
@@ -198,6 +206,98 @@ def test_row_rank_falls_back_when_column_hint_is_damaged():
     cx._col_sources[2].pop()
     assert cx.row_rank(2) == dense
     assert cx.certificates[("row", 2)] == "exhaustive"
+
+
+def _battery_results():
+    """Every rank, certificate and betti number of the rank battery."""
+    out = {}
+    for name, cx in rank_battery():
+        a, e = cx.algebra, cx.coefficients
+        for n in range(1, len(cx.boundaries) + 1):
+            out[name, "col", n] = cx.col_rank(n)
+            out[name, "row", n] = cx.row_rank(n)
+        for n in range(len(cx.boundaries)):
+            out[name, "H", n] = hochschild_homology(a, e, n, complex=cx).betti
+            out[name, "H*", n] = hochschild_cohomology(a, e, n, complex=cx).betti
+        out[name, "certificates"] = dict(cx.certificates)
+    return out
+
+
+def _record_engine_calls(monkeypatch):
+    """Wrap the elimination engine homology uses; returns a list that
+    gets (rows handed in, stop_at, pivots found) per call."""
+    calls = []
+
+    def recording(rows, stop_at=None, sources=None):
+        piv = _forward_echelon(rows, stop_at=stop_at, sources=sources)
+        calls.append((len(rows), stop_at, len(piv)))
+        return piv
+
+    monkeypatch.setattr(homology, "_forward_echelon", recording)
+    return calls
+
+
+def test_column_selector_falls_back_under_two_torsion(monkeypatch):
+    # l1(B(1,C2)) is commutative, so b_1 = 0 on the regular module and
+    # rank b_2 is bounded by dim C_1 = 9; mod 2 its columns span only 7
+    sa = semigroup_algebra(brandt(1, cyclic_group(2)))
+    cx = bar_complex(sa, regular_bimodule(sa), 1)
+    b2 = cx.boundary(2)
+    cols = b2.matrix._columns()
+    assert cx.col_rank(1) == 0
+    assert len(_mod2_independent(cols, 9)) == 7
+    calls = _record_engine_calls(monkeypatch)
+    assert cx.col_rank(2) == 9 == dense_rank(matrix_of_linear_map(b2))
+    assert cx.certificates[("col", 2)] == "bound"
+    # the short mod-2 pick never reaches the exact engine; every column does
+    assert calls == [(len(cols), 9, 9)]
+
+
+def _faulty_selectors():
+    rng = random.Random(5)
+
+    def too_few(rows, limit):
+        return _mod2_independent(rows, limit)[:-1]
+
+    def repeated(rows, limit):
+        return _mod2_independent(rows, limit)[:1] * limit
+
+    def dependent(rows, limit):
+        # zero columns first: the right count, but dependent over Q
+        zeros = [i for i, r in enumerate(rows) if not r]
+        return (zeros + _mod2_independent(rows, limit))[:limit]
+
+    def arbitrary(rows, limit):
+        return rng.sample(range(len(rows)), min(limit, len(rows)))
+
+    return {"too few": too_few, "repeated": repeated,
+            "dependent": dependent, "arbitrary": arbitrary}
+
+
+@pytest.mark.parametrize("fault", sorted(_faulty_selectors()))
+def test_column_selector_faults_change_no_result(monkeypatch, fault):
+    # the selector only chooses which columns the exact engine sees: a
+    # wrong choice may cost time, never a rank, certificate or betti number
+    expected = _battery_results()
+    monkeypatch.setattr(homology, "_mod2_independent", _faulty_selectors()[fault])
+    calls = _record_engine_calls(monkeypatch)
+    assert _battery_results() == expected
+    if fault in ("repeated", "dependent"):
+        # a full-size pick was handed over, fell short, and was replaced
+        assert any(size == stop and found < stop for size, stop, found in calls)
+
+
+def test_column_selector_hands_only_independent_columns_to_engine(monkeypatch):
+    # l1(B(2,C3)) regular, degree 3: 2037 of the 28561 columns of b_3 are
+    # eliminated exactly, and none of them reduces to zero
+    sa = semigroup_algebra(brandt(2, cyclic_group(3)))
+    cx = bar_complex(sa, regular_bimodule(sa), 2)
+    cx.col_rank(2)
+    calls = _record_engine_calls(monkeypatch)
+    assert cx.col_rank(3) == 2037
+    assert cx.certificates[("col", 3)] == "bound"
+    assert calls == [(2037, 2037, 2037)]
+    assert len(set(cx._col_sources[3])) == 2037
 
 
 def test_chain_complex_always_checks_composite_zero():
