@@ -16,7 +16,7 @@ so the quotient action proj @ m @ section is proj @ m restricted to
 those columns: one product per action matrix certifies preservation and
 gives the quotient action.
 
-Two checks use the generator derivation of an algebra (structures):
+Three checks use the generator derivation of an algebra (structures):
 generators S and steps t <- (s, u), with e_t a combination of e_s e_u
 and elements derived before t. An algebra with a derivation is
 associative at every basis triple, since the derivation is only given
@@ -45,6 +45,20 @@ linearly to algebra elements.
   all of B by induction over B's steps and then to all of A over A's.
   So check_axioms returns [] once these pairs hold, and otherwise runs
   the full enumeration, whose violation list is unchanged.
+* The quotient actions of the balanced tensor follow from the
+  generators' too. Let m_p = L_p (x) 1 be e's left action on E (x) F.
+  If L_s L_u = L_(e_s e_u) at every step (s, u) of A's derivation, then
+  c_t m_t = m_s m_u - sum over r != t of c_r m_r holds as whole matrices.
+  For each generator s it is checked that m_s maps N into N and that
+  proj m_s = T_s proj, where T_s is proj m_s on the free columns; the
+  other T_t are replayed by c_t T_t = T_s T_u - sum c_r T_r. By
+  induction over the steps every m_t then maps N into N, and
+  c_t proj m_t = T_s proj m_u - sum c_r T_r proj = c_t T_t proj. As
+  proj section = 1, T_t = proj m_t section exactly: the matrix the
+  per-basis check forms, with integral entries kept as int. The right
+  action is the mirror image, with T_u T_s. Without a derivation, when
+  a step identity fails or when a generator check fails, every basis
+  element is checked, so a broken input raises the same error.
 """
 
 from __future__ import annotations
@@ -339,23 +353,24 @@ def trace_pairing(index_size: int) -> LinearMap:
     return LinearMap(n * n, 1, m)
 
 
-def tensor(e: Bimodule, f: Bimodule, _check: bool = True) -> Bimodule:
+def _outer_action(e: Bimodule, f: Bimodule, side: str, p: int) -> RationalMatrix:
+    """The matrix on E (x) F of e's left action of basis p (side "left",
+    L_p (x) 1) or of f's right action of basis p (side "right", 1 (x) R_p)."""
+    if side == "left":
+        return kronecker(LinearMap(e.dim, e.dim, e.left_action[p]),
+                         LinearMap.identity(f.dim)).matrix
+    return kronecker(LinearMap.identity(e.dim),
+                     LinearMap(f.dim, f.dim, f.right_action[p])).matrix
+
+
+def tensor(e: Bimodule, f: Bimodule) -> Bimodule:
     """Tensor product with the outer actions only (e's left, f's right)."""
-    dim = e.dim * f.dim
-    idf = RationalMatrix.identity(f.dim)
-    ide = RationalMatrix.identity(e.dim)
-    left = [
-        kronecker(LinearMap(e.dim, e.dim, m), LinearMap(f.dim, f.dim, idf)).matrix
-        for m in e.left_action
-    ]
-    right = [
-        kronecker(LinearMap(e.dim, e.dim, ide), LinearMap(f.dim, f.dim, m)).matrix
-        for m in f.right_action
-    ]
+    left = [_outer_action(e, f, "left", p) for p in range(e.left_algebra.dim)]
+    right = [_outer_action(e, f, "right", p) for p in range(f.right_algebra.dim)]
     labels = [f"{a}(x){b}" for a in e.labels for b in f.labels]
     return Bimodule(
-        e.left_algebra, f.right_algebra, dim, left, right,
-        labels=labels, name=f"{e.name}(x){f.name}", check=_check,
+        e.left_algebra, f.right_algebra, e.dim * f.dim, left, right,
+        labels=labels, name=f"{e.name}(x){f.name}",
     )
 
 
@@ -375,13 +390,19 @@ def balancing_subspace(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Subs
     """Span of x.a (x) y - x (x) a.y over all basis triples, in canonical
     form. The relations of the generators alone span it whenever the step
     identities hold (module docstring); the RREF is the same either way."""
+    return _balancing(e, f, over)[0]
+
+
+def _balancing(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> tuple[Subspace, str]:
+    """balancing_subspace, with the certificate from _balancing_rows."""
     if e.right_algebra.dim != over.dim or e.right_algebra != over:
         raise ValueError("e is not a right module over the balancing algebra")
     if f.left_algebra != over:
         raise ValueError("f is not a left module over the balancing algebra")
     fd = f.dim
     vectors = []
-    for q in _balancing_rows(e, f, over)[0]:
+    rows, certificate = _balancing_rows(e, f, over)
+    for q in rows:
         right_cols = [e.right_action[q].col(p) for p in range(e.dim)]
         left_cols = [f.left_action[q].col(r) for r in range(f.dim)]
         for p in range(e.dim):
@@ -398,7 +419,7 @@ def balancing_subspace(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Subs
                         del v[idx]
                 if v:
                     vectors.append(v)
-    return Subspace.from_spanning(e.dim * f.dim, vectors)
+    return Subspace.from_spanning(e.dim * f.dim, vectors), certificate
 
 
 @dataclass
@@ -410,60 +431,98 @@ class BalancedTensor:
     relations is the balancing subspace that was divided out. certificate
     says how relations was spanned: "generators" (the derivation's
     generators, step identities verified) or "exhaustive" (every basis
-    element of the balancing algebra).
+    element of the balancing algebra). action_certificate says the same
+    of the quotient actions: "generators" (checked on the generators of
+    the outer algebras and replayed over their steps) or "exhaustive"
+    (checked and formed for every basis element).
     """
 
     module: Bimodule
-    proj: BimoduleMap
+    proj: LinearMap
     section: LinearMap
     relations: Subspace
     certificate: str
+    action_certificate: str
 
 
 def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> BalancedTensor:
     """Quotient of the tensor product by the balancing subspace, with the
-    induced outer actions. Every action matrix is checked to map the
-    balancing subspace into itself before the quotient action is formed.
+    induced outer actions. An action matrix is checked to map the
+    balancing subspace into itself before its quotient action is formed.
 
-    One product pm = proj @ m per action matrix m serves both: m preserves
-    the balancing subspace exactly when pm kills its basis, and the
-    quotient action proj @ m @ section is pm on the free columns. The
+    One product pm = proj @ m per checked action matrix m serves both: m
+    preserves the balancing subspace exactly when pm kills its basis, and
+    the quotient action proj @ m @ section is pm on the free columns. The
     same pm certifies that proj intertwines m with the quotient action
     t: pm == t @ proj.
 
-    The intermediate tensor skips the axiom re-check: for valid inputs the
-    outer actions satisfy the axioms identically, and for broken inputs
-    the preservation check below is the error the caller is promised.
+    Those checks run on the generators of the outer algebras only, and
+    the other quotient actions are replayed over the derivation steps
+    (module docstring). Without a derivation, when a step identity fails
+    or when a generator check fails, every basis element is checked in
+    turn, so a broken input raises the error of the first failing one.
     """
-    big = tensor(e, f, _check=False)
-    rel = balancing_subspace(e, f, over)
-    q = quotient(big.dim, rel)
+    rel, certificate = _balancing(e, f, over)
+    q = quotient(e.dim * f.dim, rel)
     rel_cols = rel.basis.transpose()
-    pivots = set(rel.pivot_columns())
-    free = {j: t for t, j in enumerate(j for j in range(big.dim) if j not in pivots)}
-    proj = q.proj.matrix
-    actions = {"left": [], "right": []}
-    for side, mats in (("left", big.left_action), ("right", big.right_action)):
-        for p, m in enumerate(mats):
-            pm = proj @ m
-            if not (pm @ rel_cols).is_zero():
-                raise ActionNotWellDefined(
-                    f"{side} action of basis {p} does not preserve the balancing subspace"
-                )
-            t = RationalMatrix.from_rows(
-                [{free[j]: v for j, v in row.items() if j in free} for row in pm._rows],
-                q.dim,
+    proj, free = q.proj.matrix, q.free
+
+    def action(side: str, p: int) -> RationalMatrix:
+        pm = proj @ _outer_action(e, f, side, p)
+        if not (pm @ rel_cols).is_zero():
+            raise ActionNotWellDefined(
+                f"{side} action of basis {p} does not preserve the balancing subspace"
             )
-            if pm != t @ proj:
-                raise IntertwiningError(f"map does not intertwine {side} action of basis {p}")
-            actions[side].append(t)
+        t = RationalMatrix.from_rows(
+            [{free[j]: v for j, v in row.items() if j in free} for row in pm._rows],
+            q.dim,
+        )
+        if pm != t @ proj:
+            raise IntertwiningError(f"map does not intertwine {side} action of basis {p}")
+        return t
+
+    actions = _generator_actions(e, f, action)
+    action_certificate = "generators"
+    if actions is None:
+        actions = {
+            "left": [action("left", p) for p in range(e.left_algebra.dim)],
+            "right": [action("right", p) for p in range(f.right_algebra.dim)],
+        }
+        action_certificate = "exhaustive"
     small = Bimodule(
-        big.left_algebra, big.right_algebra, q.dim, actions["left"], actions["right"],
+        e.left_algebra, f.right_algebra, q.dim, actions["left"], actions["right"],
         name=f"{e.name}(x)_{over.name}{f.name}",
     )
-    return BalancedTensor(module=small, proj=BimoduleMap(big, small, q.proj, check=False),
-                          section=q.section, relations=rel,
-                          certificate=_balancing_rows(e, f, over)[1])
+    return BalancedTensor(module=small, proj=q.proj, section=q.section, relations=rel,
+                          certificate=certificate, action_certificate=action_certificate)
+
+
+def _generator_actions(e: Bimodule, f: Bimodule, action) -> dict | None:
+    """The quotient actions {"left": [...], "right": [...]}: action(side, s)
+    for the generators s of each outer algebra, and for a step t <- (s, u)
+    with e_s e_u = sum c_r e_r, c_t T_t = T_s T_u - sum_(r != t) c_r T_r
+    (T_u T_s on the right). None when a derivation or a step identity is
+    missing or a generator check fails."""
+    out = {}
+    for side, mod, alg in (("left", e, e.left_algebra), ("right", f, f.right_algebra)):
+        if not mod._steps_hold(side):
+            return None
+        der = alg.derivation()
+        acts = [None] * alg.dim
+        try:
+            for s in der.generators:
+                acts[s] = action(side, s)
+        except (ActionNotWellDefined, IntertwiningError):
+            return None
+        for t, s, u in der.steps:
+            coeffs = alg.structure[(s, u)]
+            acc = acts[s] @ acts[u] if side == "left" else acts[u] @ acts[s]
+            for r, c in coeffs.items():
+                if r != t:
+                    acc = acc - acts[r].scale(c)
+            acts[t] = acc.scale(QQ(1, coeffs[t]))
+        out[side] = acts
+    return out
 
 
 def induced_map(bt: BalancedTensor, raw: LinearMap, target: Bimodule) -> BimoduleMap:

@@ -9,7 +9,7 @@ only converts back to fractions when a canonical basis is emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -32,22 +32,24 @@ def nrat(v):
 
 
 def vec_add(u: dict, v: dict) -> dict:
+    """u + v; integral Fraction sums come out as int (see nrat)."""
     out = dict(u)
     for k, x in v.items():
         y = out.get(k, 0) + x
         if y:
-            out[k] = y
+            out[k] = y if type(y) is int or y.denominator != 1 else y.numerator
         elif k in out:
             del out[k]
     return out
 
 
 def vec_sub(u: dict, v: dict) -> dict:
+    """u - v; integral Fraction differences come out as int (see nrat)."""
     out = dict(u)
     for k, x in v.items():
         y = out.get(k, 0) - x
         if y:
-            out[k] = y
+            out[k] = y if type(y) is int or y.denominator != 1 else y.numerator
         elif k in out:
             del out[k]
     return out
@@ -191,11 +193,15 @@ class RationalMatrix:
         return m
 
     def scale(self, c) -> "RationalMatrix":
+        """c times the matrix; integral entries come out as int (see nrat)."""
         c = nrat(c)
         m = RationalMatrix(self.rows, self.cols)
         if c:
-            for r in range(self.rows):
-                m._rows[r] = {j: c * v for j, v in self._rows[r].items()}
+            for r, row in enumerate(self._rows):
+                out = m._rows[r]
+                for j, v in row.items():
+                    y = c * v
+                    out[j] = y if type(y) is int or y.denominator != 1 else y.numerator
         return m
 
     def is_zero(self) -> bool:
@@ -652,9 +658,14 @@ def inverse(f: LinearMap) -> LinearMap | None:
 
 @dataclass(frozen=True)
 class QuotientMaps:
+    """proj and section of a quotient; free maps each free (non-pivot)
+    column of the subspace's canonical basis to its quotient coordinate
+    (determined by section, so left out of comparison and hashing)."""
+
     proj: LinearMap
     section: LinearMap
     dim: int
+    free: dict = field(compare=False)
 
 
 def quotient(ambient_dim: int, n: Subspace) -> QuotientMaps:
@@ -685,6 +696,7 @@ def quotient(ambient_dim: int, n: Subspace) -> QuotientMaps:
         proj=LinearMap(ambient_dim, qdim, proj),
         section=LinearMap(qdim, ambient_dim, section),
         dim=qdim,
+        free=pos,
     )
 
 

@@ -89,11 +89,14 @@ def dense_nullity(mat):
 
 
 def dense_matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    n, m = len(a), len(b[0]) if b else 0
     out = [[Fraction(0)] * m for _ in range(n)]
     for i in range(n):
-        for j in range(m):
-            out[i][j] = sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+        for t, x in enumerate(a[i]):
+            if x:
+                for j, y in enumerate(b[t]):
+                    if y:
+                        out[i][j] += x * y
     return out
 
 
@@ -261,3 +264,60 @@ def balancing_span(e, f, over):
         return []
     m, rk, _ = dense_rref(vectors)
     return m[:rk]
+
+
+def _dense_kron(a, b):
+    """Kronecker product of two dense square matrices, lexicographic basis."""
+    n = len(b)
+    return [[a[i // n][j // n] * b[i % n][j % n] for j in range(len(a) * n)]
+            for i in range(len(a) * n)]
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def quotient_actions(e, f, over):
+    """Reference for balanced_tensor(e, f, over).module: for every basis
+    element p of each outer algebra in turn (e's left action, then f's
+    right action), m_p = L_p (x) 1 or 1 (x) R_p is checked to preserve the
+    balancing subspace N and the quotient action proj m_p section is
+    formed, all densely. proj and section are read off the dense RREF of N
+    (quotient coordinates at its non-pivot columns). Raises what
+    balanced_tensor promises for a broken input: ActionNotWellDefined,
+    IntertwiningError, or the quotient module's BimoduleAxiomError."""
+    from moritalab.bimodules import ActionNotWellDefined, Bimodule, IntertwiningError
+    from moritalab.exactla import RationalMatrix
+
+    rel = balancing_span(e, f, over)
+    d = e.dim * f.dim
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rel]
+    free = [j for j in range(d) if j not in pivots]
+    pos = {j: t for t, j in enumerate(free)}
+    proj = [[Fraction(0)] * d for _ in free]
+    for j, t in pos.items():
+        proj[t][j] = Fraction(1)
+    for c, row in zip(pivots, rel):
+        for j in free:
+            proj[pos[j]][c] = -row[j]
+    section = [[Fraction(int(pos.get(j) == t)) for t in range(len(free))] for j in range(d)]
+    rel_t = [[row[j] for row in rel] for j in range(d)]
+    actions = {"left": [], "right": []}
+    for side, mats in (("left", e.left_action), ("right", f.right_action)):
+        for p, mat in enumerate(mats):
+            if side == "left":
+                m = _dense_kron(mat.to_dense(), _identity(f.dim))
+            else:
+                m = _dense_kron(_identity(e.dim), mat.to_dense())
+            pm = dense_matmul(proj, m)
+            if any(x for row in dense_matmul(pm, rel_t) for x in row):
+                raise ActionNotWellDefined(
+                    f"{side} action of basis {p} does not preserve the balancing subspace"
+                )
+            t = dense_matmul(pm, section)
+            if dense_matmul(t, proj) != pm:
+                raise IntertwiningError(f"map does not intertwine {side} action of basis {p}")
+            actions[side].append(RationalMatrix.from_rows(
+                [{c: x for c, x in enumerate(row) if x} for row in t], len(free)))
+    return Bimodule(e.left_algebra, f.right_algebra, len(free), actions["left"],
+                    actions["right"], name=f"{e.name}(x)_{over.name}{f.name}")

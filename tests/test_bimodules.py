@@ -48,7 +48,13 @@ from moritalab.bimodules import (
 
 from moritalab.morita import witness_brandt_full
 
-from oracles import axiom_violations, balancing_span, intertwining_violations, span_contains
+from oracles import (
+    axiom_violations,
+    balancing_span,
+    intertwining_violations,
+    quotient_actions,
+    span_contains,
+)
 
 
 def zero_action_module(a, dim):
@@ -190,8 +196,8 @@ def test_balanced_tensor_index_space_collapses_to_line():
     m2 = matrix_algebra(2)
     bt = balanced_tensor(row_module(2), column_module(2), m2)
     assert bt.module.dim == 1
-    assert bt.proj.map.target_dim == 1
-    assert subspace_equal(kernel(bt.proj.map), bt.relations)
+    assert bt.proj.target_dim == 1
+    assert subspace_equal(kernel(bt.proj), bt.relations)
 
 
 def test_balanced_tensor_regular_square():
@@ -383,8 +389,8 @@ def rebracket_comparison(a, e):
     y1 = balanced_tensor(e, reg, a)
     y2 = balanced_tensor(reg, y1.module, a)
     lift_left = kronecker(x1.section, LinearMap.identity(a.dim))
-    fold_right = kronecker(LinearMap.identity(a.dim), y1.proj.map)
-    comparison = y2.proj.map.compose(fold_right).compose(lift_left).compose(x2.section)
+    fold_right = kronecker(LinearMap.identity(a.dim), y1.proj)
+    comparison = y2.proj.compose(fold_right).compose(lift_left).compose(x2.section)
     return x2.module, y2.module, comparison
 
 
@@ -527,32 +533,38 @@ BALANCING_CASES = [
 ]
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    case=st.integers(0, len(BALANCING_CASES) - 1),
-    fault=st.none() | st.tuples(
-        st.sampled_from(["e", "f"]), st.sampled_from(["left", "right"]),
-        st.integers(0, 10), st.integers(0, 10), st.integers(0, 10),
-        st.sampled_from([1, -1, 2, Fraction(1, 2)]),
-    ),
+# None, or a corruption of one action entry of e or f
+pair_faults = st.none() | st.tuples(
+    st.sampled_from(["e", "f"]), st.sampled_from(["left", "right"]),
+    st.integers(0, 10), st.integers(0, 10), st.integers(0, 10),
+    st.sampled_from([1, -1, 2, Fraction(1, 2)]),
 )
+
+
+def _corrupt_pair(e, f, fault):
+    if fault is None:
+        return e, f
+    which, side, p, r, c, delta = fault
+    if which == "e":
+        return _corrupt_action(e, side, p, r, c, delta), f
+    return e, _corrupt_action(f, side, p, r, c, delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, len(BALANCING_CASES) - 1), fault=pair_faults)
 def test_balancing_subspace_matches_span_of_all_triples(case, fault):
     e, f, over = BALANCING_CASES[case]
-    if fault is not None:
-        which, side, p, r, c, delta = fault
-        if which == "e":
-            e = _corrupt_action(e, side, p, r, c, delta)
-        else:
-            f = _corrupt_action(f, side, p, r, c, delta)
+    e, f = _corrupt_pair(e, f, fault)
     assert balancing_subspace(e, f, over).basis.to_dense() == balancing_span(e, f, over)
 
 
 def test_balanced_tensor_certificate_generators_on_witness_modules():
     a, b = _WIT.algebra_a, _WIT.algebra_b
-    assert balanced_tensor(_WIT.p, _WIT.q, a).certificate == "generators"
-    assert balanced_tensor(_WIT.q, _WIT.p, b).certificate == "generators"
-    assert balanced_tensor(regular_bimodule(b), _WIT.p, b).certificate == "generators"
-    assert balanced_tensor(_WIT.p, regular_bimodule(a), a).certificate == "generators"
+    for e, f, over in ((_WIT.p, _WIT.q, a), (_WIT.q, _WIT.p, b),
+                       (regular_bimodule(b), _WIT.p, b), (_WIT.p, regular_bimodule(a), a)):
+        bt = balanced_tensor(e, f, over)
+        assert bt.certificate == "generators"
+        assert bt.action_certificate == "generators"
 
 
 def test_balanced_tensor_certificate_exhaustive_when_step_identity_broken():
@@ -570,3 +582,77 @@ def test_balanced_tensor_certificate_exhaustive_when_step_identity_broken():
     bt = balanced_tensor(e, reg, m2)
     assert bt.certificate == "exhaustive"
     assert bt.relations.basis.to_dense() == balancing_span(e, reg, m2)
+    # e's left action is zero, so its step identities hold and the
+    # quotient actions still come from the generators
+    assert bt.action_certificate == "generators"
+
+
+# ---------------------------------- quotient actions replayed from generators
+
+
+def _rescaled(a, factors):
+    """a in the basis e'_p = factors[p] e_p: structure constants other
+    than 1, so a derivation step divides by c_t != 1."""
+    lam = [Fraction(factors[p % len(factors)]) for p in range(a.dim)]
+    structure = {(p, q): {r: lam[p] * lam[q] * c / lam[r] for r, c in vec.items()}
+                 for (p, q), vec in a.structure.items()}
+    return StructureAlgebra(a.dim, a.labels, structure, name=f"{a.name}'")
+
+
+_SCALES = [2, Fraction(1, 3), 3, Fraction(-1, 2)]
+RANDOM_MODULE_ALGEBRAS = [
+    _B12,
+    _rescaled(matrix_algebra(2), _SCALES),
+    _rescaled(_B12, _SCALES),
+    _rescaled(semigroup_algebra(brandt(2, cyclic_group(1))), _SCALES),
+]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ActionNotWellDefined, IntertwiningError, BimoduleAxiomError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.integers(0, len(BALANCING_CASES) - 1) | st.tuples(
+        st.integers(0, len(RANDOM_MODULE_ALGEBRAS) - 1), st.integers(0, 99), st.integers(0, 99)),
+    fault=pair_faults,
+)
+def test_balanced_tensor_matches_per_basis_reference(case, fault):
+    if isinstance(case, int):
+        e, f, over = BALANCING_CASES[case]
+    else:
+        over = RANDOM_MODULE_ALGEBRAS[case[0]]
+        e, f = seeded_random_bimodule(over, case[1]), seeded_random_bimodule(over, case[2])
+    e, f = _corrupt_pair(e, f, fault)
+    expected = _outcome(lambda: quotient_actions(e, f, over))
+    got = _outcome(lambda: balanced_tensor(e, f, over))
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert got.module == expected
+    for m in got.module.left_action + got.module.right_action:
+        assert not any(isinstance(v, Fraction) and v.denominator == 1 for _, _, v in m.entries())
+    if fault is None:
+        assert got.action_certificate == "generators"
+    elif not (e._steps_hold("left") and f._steps_hold("right")):
+        assert got.action_certificate == "exhaustive"
+
+
+def test_balanced_tensor_generator_failure_reports_first_failing_basis():
+    # each action is valid, so every step identity holds, but the left and
+    # right actions do not commute: generator 1 fails its check, and the
+    # per-basis loop then names basis 0, which comes first and fails too
+    a = RANDOM_MODULE_ALGEBRAS[3]
+    assert 0 not in a.derivation().generators
+    reg = regular_bimodule(a)
+    mixed = Bimodule(a, a, reg.dim, reg.left_action, dual_bimodule(reg).right_action,
+                     check=False)
+    for side, e, f in (("left", mixed, reg), ("right", reg, mixed)):
+        message = f"{side} action of basis 0 does not preserve the balancing subspace"
+        with pytest.raises(ActionNotWellDefined, match=f"^{message}$"):
+            balanced_tensor(e, f, a)
+        assert _outcome(lambda: quotient_actions(e, f, a)) == (ActionNotWellDefined, message)

@@ -213,6 +213,10 @@ def test_quotient_contract(seed=5):
         assert q.dim == dim - n.dim
         assert q.proj.compose(q.section) == LinearMap.identity(q.dim)
         assert subspace_equal(kernel(q.proj), n)
+        # free lists the non-pivot columns, each with the coordinate the
+        # section sends to it
+        assert sorted(q.free) == [j for j in range(dim) if j not in n.pivot_columns()]
+        assert all(q.section.col(t) == {j: 1} for j, t in q.free.items())
 
 
 def test_quotient_by_pairing_kernel():
@@ -373,6 +377,27 @@ def test_fraction_entries_survive():
     assert rank == 1
     assert out.entry(0, 0) == 1
     assert out.entry(0, 1) == QQ(2, 3)
+
+
+
+def _integral_fractions(m):
+    return [v for _, _, v in m.entries() if isinstance(v, QQ) and v.denominator == 1]
+
+
+def test_scale_keeps_integral_entries_int():
+    m = RationalMatrix(1, 2, {(0, 0): 2, (0, 1): QQ(1, 3)}).scale(QQ(1, 2))
+    assert m.entry(0, 0) == 1 and type(m.entry(0, 0)) is int
+    assert m.entry(0, 1) == QQ(1, 6)
+    assert _integral_fractions(RationalMatrix(1, 1, {(0, 0): QQ(1, 2)}).scale(2)) == []
+
+
+def test_add_and_sub_keep_integral_entries_int():
+    m = RationalMatrix(1, 2, {(0, 0): QQ(1, 2), (0, 1): QQ(1, 3)})
+    total = m + m
+    assert total.entry(0, 0) == 1 and type(total.entry(0, 0)) is int
+    assert total.entry(0, 1) == QQ(2, 3)
+    diff = RationalMatrix(1, 1, {(0, 0): QQ(3, 2)}) - RationalMatrix(1, 1, {(0, 0): QQ(1, 2)})
+    assert diff.entry(0, 0) == 1 and type(diff.entry(0, 0)) is int
 
 
 sparse_int_rows = st.integers(1, 8).flatmap(lambda width: st.lists(
