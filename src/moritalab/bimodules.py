@@ -59,11 +59,23 @@ linearly to algebra elements.
   action is the mirror image, with T_u T_s. Without a derivation, when
   a step identity fails or when a generator check fails, every basis
   element is checked, so a broken input raises the same error.
+
+The modules of semigroups and S-sets have monomial actions, and N then
+needs no elimination:
+
+* Monomial relations by union-find. If every column of e's right action
+  and of f's left action, for each q whose relations are used, has at
+  most one entry, each relation x.a (x) y - x (x) a.y is a e_i + b e_j or
+  a single term. exactla.binomial_span spans them by a weighted
+  union-find. Its rows span N and are in reduced row echelon form, and a
+  subspace has only one RREF, so they are exactly the rows elimination
+  gives. Any other input is eliminated by Subspace.from_spanning.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -72,6 +84,7 @@ from .exactla import (
     LinearMap,
     RationalMatrix,
     Subspace,
+    binomial_span,
     kronecker,
     linear_combination,
     quotient,
@@ -102,7 +115,7 @@ class Bimodule:
     """
 
     __slots__ = ("left_algebra", "right_algebra", "dim", "left_action", "right_action",
-                 "labels", "name", "_step_checks")
+                 "labels", "name", "_step_checks", "__weakref__")
 
     def __init__(self, left_algebra, right_algebra, dim, left_action, right_action,
                  labels=None, name="E", check=True):
@@ -267,16 +280,19 @@ class BimoduleMap:
 def regular_bimodule(a: StructureAlgebra) -> Bimodule:
     """The algebra acting on itself by multiplication on both sides.
 
-    Cached on the algebra: the module is immutable and rebuilt values
-    would be structurally identical.
+    Cached on the algebra by weak reference: the module is immutable and
+    rebuilt values would be structurally identical, and the module refers
+    back to the algebra, so a strong reference would make a cycle that
+    only a full garbage collection frees.
     """
-    if a._regular_cache is None:
+    ref = a._regular_cache
+    mod = ref() if ref is not None else None
+    if mod is None:
         left = [a.left_mult_matrix(p) for p in range(a.dim)]
         right = [a.right_mult_matrix(p) for p in range(a.dim)]
-        a._regular_cache = Bimodule(
-            a, a, a.dim, left, right, labels=a.labels, name=a.name, check=True
-        )
-    return a._regular_cache
+        mod = Bimodule(a, a, a.dim, left, right, labels=a.labels, name=a.name, check=True)
+        a._regular_cache = weakref.ref(mod)
+    return mod
 
 
 def _matrix_row_action(n: int) -> list[RationalMatrix]:
@@ -400,14 +416,16 @@ def _balancing(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> tuple[Subspa
     if f.left_algebra != over:
         raise ValueError("f is not a left module over the balancing algebra")
     fd = f.dim
-    vectors = []
     rows, certificate = _balancing_rows(e, f, over)
-    for q in rows:
-        right_cols = [e.right_action[q].col(p) for p in range(e.dim)]
-        left_cols = [f.left_action[q].col(r) for r in range(f.dim)]
+    right = [e.right_action[q]._columns() for q in rows]
+    left = [f.left_action[q]._columns() for q in rows]
+    if all(len(c) <= 1 for cols in right + left for c in cols):
+        return binomial_span(e.dim * fd, _binomial_relations(right, left, fd)), certificate
+    vectors = []
+    for right_cols, left_cols in zip(right, left):
         for p in range(e.dim):
             xa = right_cols[p]
-            for r in range(f.dim):
+            for r in range(fd):
                 ay = left_cols[r]
                 v = {k * fd + r: x for k, x in xa.items()}
                 for k, y in ay.items():
@@ -419,7 +437,24 @@ def _balancing(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> tuple[Subspa
                         del v[idx]
                 if v:
                     vectors.append(v)
-    return Subspace.from_spanning(e.dim * f.dim, vectors), certificate
+    return Subspace.from_spanning(e.dim * fd, vectors), certificate
+
+
+def _binomial_relations(right, left, fd: int):
+    """The relations x.a (x) y - x (x) a.y as (i, a, j, b) or (i, a) tuples,
+    when every column of the actions has at most one entry."""
+    for right_cols, left_cols in zip(right, left):
+        ays = [next(iter(c.items()), None) for c in left_cols]
+        for p, col in enumerate(right_cols):
+            xa = next(iter(col.items()), None)
+            for r, ay in enumerate(ays):
+                if xa is None:
+                    if ay is not None:
+                        yield p * fd + ay[0], -ay[1]
+                elif ay is None:
+                    yield xa[0] * fd + r, xa[1]
+                else:
+                    yield xa[0] * fd + r, xa[1], p * fd + ay[0], -ay[1]
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """Bimodule actions, balanced tensor products, induced modules."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moritalab import exactla
 from moritalab.exactla import (
     LinearMap,
     RationalMatrix,
@@ -82,6 +84,21 @@ def test_regular_bimodule_matrix_unit_projection():
 def test_regular_bimodule_axioms_semigroup_algebra():
     sa = semigroup_algebra(brandt(2, cyclic_group(2)))
     assert regular_bimodule(sa).check_axioms() == []
+
+
+def test_regular_module_cache_makes_no_reference_cycle():
+    # the algebra caches its regular module by weak reference, so both are
+    # freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        a = semigroup_algebra(brandt(2, cyclic_group(3)))
+        mod = regular_bimodule(a)
+        assert regular_bimodule(a) is mod
+        del a, mod
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_row_column_action_formulas():
@@ -523,13 +540,43 @@ def test_check_axioms_reports_non_commuting_valid_actions():
 
 # ------------------------------------------ balancing from generator relations
 
+def _rescaled(a, factors):
+    """a in the basis e'_p = factors[p] e_p: structure constants other
+    than 1, so a derivation step divides by c_t != 1."""
+    lam = [Fraction(factors[p % len(factors)]) for p in range(a.dim)]
+    structure = {(p, q): {r: lam[p] * lam[q] * c / lam[r] for r, c in vec.items()}
+                 for (p, q), vec in a.structure.items()}
+    return StructureAlgebra(a.dim, a.labels, structure, name=f"{a.name}'")
+
+
+_SCALES = [2, Fraction(1, 3), 3, Fraction(-1, 2)]
+RANDOM_MODULE_ALGEBRAS = [
+    _B12,
+    _rescaled(matrix_algebra(2), _SCALES),
+    _rescaled(_B12, _SCALES),
+    _rescaled(semigroup_algebra(brandt(2, cyclic_group(1))), _SCALES),
+]
+
+
 _WIT = witness_brandt_full(1, 2, cyclic_group(2))
+_WIT_BALANCING = [
+    (_WIT.p, _WIT.q, _WIT.algebra_a),
+    (_WIT.q, _WIT.p, _WIT.algebra_b),
+    (regular_bimodule(_WIT.algebra_b), _WIT.p, _WIT.algebra_b),
+    (_WIT.p, regular_bimodule(_WIT.algebra_a), _WIT.algebra_a),
+]
+# monomial relations with weights other than +-1, and a pair of random
+# modules whose relations are not monomial
+_MONOMIAL_RESCALED = [(regular_bimodule(a), regular_bimodule(a), a)
+                      for a in RANDOM_MODULE_ALGEBRAS[1:3]]
+_RANDOM_PAIR = (seeded_random_bimodule(_B12, 3), seeded_random_bimodule(_B12, 8), _B12)
 BALANCING_CASES = [
     (FAULT_MODULES[0], FAULT_MODULES[0], matrix_algebra(2)),
     (FAULT_MODULES[1], FAULT_MODULES[2], _B12),
     (FAULT_MODULES[2], FAULT_MODULES[1], _B12),
-    (_WIT.p, _WIT.q, _WIT.algebra_a),
-    (_WIT.q, _WIT.p, _WIT.algebra_b),
+    *_WIT_BALANCING[:2],
+    *_MONOMIAL_RESCALED,
+    _RANDOM_PAIR,
 ]
 
 
@@ -558,10 +605,26 @@ def test_balancing_subspace_matches_span_of_all_triples(case, fault):
     assert balancing_subspace(e, f, over).basis.to_dense() == balancing_span(e, f, over)
 
 
+def test_monomial_balancing_never_eliminates(monkeypatch):
+    calls = []
+    real = exactla._forward_echelon
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exactla, "_forward_echelon", spy)
+    for e, f, over in _WIT_BALANCING + _MONOMIAL_RESCALED:
+        assert balancing_subspace(e, f, over).basis.to_dense() == balancing_span(e, f, over)
+    assert calls == []
+    # the random modules' relations have more than two terms: elimination
+    e, f, over = _RANDOM_PAIR
+    assert balancing_subspace(e, f, over).basis.to_dense() == balancing_span(e, f, over)
+    assert calls
+
+
 def test_balanced_tensor_certificate_generators_on_witness_modules():
-    a, b = _WIT.algebra_a, _WIT.algebra_b
-    for e, f, over in ((_WIT.p, _WIT.q, a), (_WIT.q, _WIT.p, b),
-                       (regular_bimodule(b), _WIT.p, b), (_WIT.p, regular_bimodule(a), a)):
+    for e, f, over in _WIT_BALANCING:
         bt = balanced_tensor(e, f, over)
         assert bt.certificate == "generators"
         assert bt.action_certificate == "generators"
@@ -588,24 +651,6 @@ def test_balanced_tensor_certificate_exhaustive_when_step_identity_broken():
 
 
 # ---------------------------------- quotient actions replayed from generators
-
-
-def _rescaled(a, factors):
-    """a in the basis e'_p = factors[p] e_p: structure constants other
-    than 1, so a derivation step divides by c_t != 1."""
-    lam = [Fraction(factors[p % len(factors)]) for p in range(a.dim)]
-    structure = {(p, q): {r: lam[p] * lam[q] * c / lam[r] for r, c in vec.items()}
-                 for (p, q), vec in a.structure.items()}
-    return StructureAlgebra(a.dim, a.labels, structure, name=f"{a.name}'")
-
-
-_SCALES = [2, Fraction(1, 3), 3, Fraction(-1, 2)]
-RANDOM_MODULE_ALGEBRAS = [
-    _B12,
-    _rescaled(matrix_algebra(2), _SCALES),
-    _rescaled(_B12, _SCALES),
-    _rescaled(semigroup_algebra(brandt(2, cyclic_group(1))), _SCALES),
-]
 
 
 def _outcome(build):

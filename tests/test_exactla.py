@@ -13,6 +13,7 @@ from moritalab.exactla import (
     _forward_echelon,
     _int_row,
     _mod2_independent,
+    binomial_span,
     image,
     inverse,
     kernel,
@@ -458,3 +459,65 @@ def test_mod2_independent_misses_two_torsion():
     assert len(picked) == 3 and 3 in picked
     # sparsest first: the one-entry row is taken first
     assert picked[0] == 3
+
+
+# ----------------------------------------------------------- binomial spans
+
+_WEIGHTS = [1, -1, 2, QQ(-1, 3), QQ(1, 18), -3]
+_coeff = st.sampled_from(_WEIGHTS) | st.just(0)
+binomial_relations = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), _coeff) | st.tuples(
+        st.integers(0, n - 1), _coeff, st.integers(0, n - 1), _coeff), max_size=12),
+))
+
+
+def _relation_vectors(n, relations):
+    """The dense vectors a e_i + b e_j of the relations."""
+    out = []
+    for rel in relations:
+        i, a, j, b = rel if len(rel) == 4 else (rel[0], rel[1], rel[0], 0)
+        v = [QQ(0)] * n
+        v[i] += a
+        v[j] += b
+        out.append(v)
+    return out
+
+
+def _check_binomial_span(n, relations):
+    got = binomial_span(n, relations)
+    vectors = _relation_vectors(n, relations)
+    rows, rank, _ = dense_rref(vectors) if vectors else ([], 0, [])
+    assert got.ambient_dim == n
+    assert got.basis.to_dense() == rows[:rank]
+    assert _integral_fractions(got.basis) == []
+    assert got == Subspace.from_spanning(n, [{k: x for k, x in enumerate(v) if x}
+                                             for v in vectors])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=binomial_relations, dup=st.integers(0, 4), rnd=st.randoms(use_true_random=False))
+def test_binomial_span_matches_dense_rref(case, dup, rnd):
+    n, relations = case
+    # duplicates, in any order
+    relations = relations + relations[:dup]
+    rnd.shuffle(relations)
+    _check_binomial_span(n, relations)
+
+
+@pytest.mark.parametrize("relations, dim", [
+    ([], 0),
+    ([(2, QQ(1, 18))], 1),                               # one term
+    ([(1, 2, 1, -2)], 0),                                # i == j, a = -b
+    ([(1, 2, 1, QQ(-1, 3))], 1),                         # i == j, a != -b
+    ([(0, 1, 1, -2), (0, 1, 1, -2), (1, -1, 0, QQ(1, 2))], 1),  # duplicates
+    # e0 = 2 e1, e1 = -1/3 e2, e2 = -3/2 e0: weight product 1
+    ([(0, 1, 1, -2), (1, 1, 2, QQ(1, 3)), (2, 1, 0, QQ(3, 2))], 2),
+    # e2 = -1/18 e0 closes the cycle with product 1/27, which kills it
+    ([(0, 1, 1, -2), (1, 1, 2, QQ(1, 3)), (2, 1, 0, QQ(1, 18))], 3),
+    # a killed component joined to a surviving one kills both
+    ([(3, -1), (0, 1, 1, -2), (1, 1, 3, 2)], 3),
+])
+def test_binomial_span_cases(relations, dim):
+    _check_binomial_span(4, relations)
+    assert binomial_span(4, relations).dim == dim
