@@ -410,7 +410,11 @@ def balancing_subspace(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Subs
 
 
 def _balancing(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> tuple[Subspace, str]:
-    """balancing_subspace, with the certificate from _balancing_rows."""
+    """balancing_subspace, with the certificate from _balancing_rows.
+
+    The relations of basis q are the columns of R_q (x) 1 - 1 (x) L_q on
+    E (x) F, column x (x) y holding x.q (x) y - x (x) q.y; monomial ones go
+    through binomial_span, the rest through Subspace.from_spanning."""
     if e.right_algebra.dim != over.dim or e.right_algebra != over:
         raise ValueError("e is not a right module over the balancing algebra")
     if f.left_algebra != over:
@@ -422,21 +426,11 @@ def _balancing(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> tuple[Subspa
     if all(len(c) <= 1 for cols in right + left for c in cols):
         return binomial_span(e.dim * fd, _binomial_relations(right, left, fd)), certificate
     vectors = []
-    for right_cols, left_cols in zip(right, left):
-        for p in range(e.dim):
-            xa = right_cols[p]
-            for r in range(fd):
-                ay = left_cols[r]
-                v = {k * fd + r: x for k, x in xa.items()}
-                for k, y in ay.items():
-                    idx = p * fd + k
-                    z = v.get(idx, 0) - y
-                    if z:
-                        v[idx] = z
-                    elif idx in v:
-                        del v[idx]
-                if v:
-                    vectors.append(v)
+    ide, idf = LinearMap.identity(e.dim), LinearMap.identity(fd)
+    for q in rows:
+        rel = (kronecker(LinearMap(e.dim, e.dim, e.right_action[q]), idf).matrix
+               - kronecker(ide, LinearMap(fd, fd, f.left_action[q])).matrix)
+        vectors.extend(col for col in rel._columns() if col)
     return Subspace.from_spanning(e.dim * fd, vectors), certificate
 
 

@@ -126,6 +126,13 @@ class Instance:
         return {"i": self.i, "j": self.j, "group": self.group}
 
 
+def _check_degree_and_budget(n: int, size_limit: int) -> None:
+    if n < 0:
+        raise ConfigError("top homology degree --n must be >= 0")
+    if size_limit < 1:
+        raise ConfigError("--size-limit must be >= 1")
+
+
 @dataclass
 class Campaign:
     instances: list
@@ -145,6 +152,7 @@ class Campaign:
         for inst in self.instances:
             if inst.i < 1 or inst.j < 1:
                 raise ConfigError("index size must be >= 1")
+        _check_degree_and_budget(self.n_max, self.size_limit)
 
     def to_dict(self):
         return {
@@ -175,13 +183,11 @@ class Report:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
-            "campaign": self.campaign.to_dict()
-            if isinstance(self.campaign, Campaign) else self.campaign,
+            "campaign": self.campaign.to_dict(),
             "results": [
                 {
                     "check": r.check,
-                    "instance": r.instance.to_dict()
-                    if isinstance(r.instance, Instance) else r.instance,
+                    "instance": r.instance.to_dict(),
                     "status": r.status,
                     "details": r.details,
                 }
@@ -513,6 +519,7 @@ def cmd_homology(args) -> int:
     try:
         if args.i < 1:
             raise ConfigError("index size must be >= 1")
+        _check_degree_and_budget(args.n, args.size_limit)
         g = _resolve_group(args.group)
         coeffs = [tok.strip() for tok in args.coeffs.split(",") if tok.strip()]
         algebra = semigroup_algebra(brandt(args.i, g))

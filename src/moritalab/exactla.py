@@ -378,32 +378,24 @@ def _forward_echelon(rows, stop_at: int | None = None, sources: list | None = No
     for row in ints:
         if len(pivots) == stop_at:
             break
-        r = row
-        while r:
-            c = min(r)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = r
-                if sources is not None:
-                    sources.append(position[id(row)])
-                break
-            r = _combine(r, p, c)
+        if _echelon_insert(pivots, row) is not None and sources is not None:
+            sources.append(position[id(row)])
     return pivots
 
 
 def _echelon_insert(pivots: dict, row: dict) -> int | None:
-    """Reduce one primitive integer row against an echelon in place.
+    """Reduce one primitive integer row (see _int_row) against an echelon
+    in place.
 
     Returns the new pivot column if the row was independent, else None.
     """
-    r = _int_row(row)
-    while r:
-        c = min(r)
+    while row:
+        c = min(row)
         p = pivots.get(c)
         if p is None:
-            pivots[c] = r
+            pivots[c] = row
             return c
-        r = _combine(r, p, c)
+        row = _combine(row, p, c)
     return None
 
 

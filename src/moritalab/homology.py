@@ -34,13 +34,22 @@ b_n whatever the columns are, so a wrong column set can only fail to
 reach the upper bound, never give a wrong rank. When it fails, the full
 rows are eliminated. Either way the row rank rests on the row path's own
 exact elimination of the boundary entries.
+
+The derivation and diagonal systems are whole-matrix identities in the
+multiplication matrices L_p (x -> e_p x) and R_p (x -> x e_p). Flatten
+a map D: A -> E as (D(e_p))_p; the Leibniz rule at (p, q) is the block
+c^{pq}T (x) 1 - e_qT (x) L_p - e_pT (x) R_q of E's actions, and the inner
+derivations are the columns of the L_p - R_p stacked. A diagonal
+m = sum M_pq e_p (x) e_q solves L_t (x) 1 - 1 (x) R_t = 0 for every t
+with the collapse e_p (x) e_q -> e_p e_q equal to the unit; the solution
+is re-checked without the Kronecker system, as L_t M = M R_tT and
+sum_p L_p (row p of M) = the unit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactla import (
     LinearMap,
@@ -48,12 +57,14 @@ from .exactla import (
     Subspace,
     _echelon_insert,
     _forward_echelon,
+    _int_row,
     _kernel_vectors,
     _mod2_independent,
     image,
     kernel,
     kronecker,
     solve,
+    vec_add,
 )
 from .bimodules import (
     Bimodule,
@@ -62,8 +73,6 @@ from .bimodules import (
     is_induced,
 )
 from .structures import AlgebraElement, StructureAlgebra, find_unit
-
-QQ = Fraction
 
 DEFAULT_SIZE_LIMIT = 10_000_000
 
@@ -112,10 +121,6 @@ class ChainComplex:
             comp = self.boundaries[k].compose(self.boundaries[k + 1])
             if not comp.matrix.is_zero():
                 raise RuntimeError(f"boundary composite b_{k + 1} b_{k + 2} is nonzero")
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.spaces) - 1
 
     def boundary(self, n: int) -> LinearMap:
         """b_n: C_n -> C_{n-1}; the zero map to a point for n = 0 and for
@@ -318,7 +323,7 @@ def _representatives(kernel_vectors, boundary_pivots: dict, want: int) -> list:
     for v in kernel_vectors:
         if len(reps) == want:
             break
-        if _echelon_insert(piv, v) is not None:
+        if _echelon_insert(piv, _int_row(v)) is not None:
             reps.append(v)
     return reps
 
@@ -385,60 +390,34 @@ class DerivationSpaces:
 def derivation_space(a: StructureAlgebra, e: Bimodule) -> DerivationSpaces:
     """Derivations of the algebra into e and the inner ones among them.
 
-    A map D is flattened as the vector (D(e_p))_p; the Leibniz rule is one
-    linear equation per basis pair and output coordinate. Inner
-    derivations are the image of x -> (a.x - x.a). Containment and the
+    A map D is flattened as the vector (D(e_p))_p in A* (x) E. The Leibniz
+    rule D(e_p e_q) = L_p D(e_q) + R_q D(e_p) at each basis pair is the
+    block c^{pq}T (x) 1 - e_qT (x) L_p - e_pT (x) R_q, where c^{pq} holds
+    the structure constants of e_p e_q and L, R are e's actions. The inner
+    derivation of x is the stack of the (L_p - R_p) x, so the inner ones
+    are the column space of the L_p - R_p stacked. Containment and the
     first-cohomology dimension count are verified before returning.
     """
     if e.left_algebra != a or e.right_algebra != a:
         raise ValueError("coefficients must form a bimodule over the algebra")
     da, de = a.dim, e.dim
-    unknowns = da * de
+    ide = LinearMap.identity(de)
+    left = [LinearMap(de, de, m) for m in e.left_action]
+    right = [LinearMap(de, de, m) for m in e.right_action]
 
-    def slot(p, t):
-        return p * de + t
+    def covector(vec):
+        return LinearMap(da, 1, RationalMatrix.from_rows([vec], da))
 
     rows = []
-    left_cols = [m._columns() for m in e.left_action]
-    right_cols = [m._columns() for m in e.right_action]
     for p in range(da):
         for q in range(da):
-            eq = [dict() for _ in range(de)]
-            for s, c in a.structure.get((p, q), {}).items():
-                for t in range(de):
-                    eq[t][slot(s, t)] = eq[t].get(slot(s, t), 0) + c
-            # minus e_p . D(e_q): column m of the left action hits coord t
-            for m, col in enumerate(left_cols[p]):
-                for t, v in col.items():
-                    y = eq[t].get(slot(q, m), 0) - v
-                    if y:
-                        eq[t][slot(q, m)] = y
-                    elif slot(q, m) in eq[t]:
-                        del eq[t][slot(q, m)]
-            for m, col in enumerate(right_cols[q]):
-                for t, v in col.items():
-                    y = eq[t].get(slot(p, m), 0) - v
-                    if y:
-                        eq[t][slot(p, m)] = y
-                    elif slot(p, m) in eq[t]:
-                        del eq[t][slot(p, m)]
-            rows.extend(r for r in eq if r)
-    system = LinearMap(unknowns, len(rows), RationalMatrix.from_rows(rows, unknowns))
-    derivations = kernel(system)
-    inner_cols = []
-    for m in range(de):
-        col = {}
-        for p in range(da):
-            for t, v in left_cols[p][m].items():
-                col[slot(p, t)] = col.get(slot(p, t), 0) + v
-            for t, v in right_cols[p][m].items():
-                y = col.get(slot(p, t), 0) - v
-                if y:
-                    col[slot(p, t)] = y
-                elif slot(p, t) in col:
-                    del col[slot(p, t)]
-        inner_cols.append(col)
-    inner = image(LinearMap.from_cols(inner_cols, unknowns))
+            block = (kronecker(covector(a.structure.get((p, q), {})), ide).matrix
+                     - kronecker(covector({q: 1}), left[p]).matrix
+                     - kronecker(covector({p: 1}), right[q]).matrix)
+            rows.extend(block._rows)
+    derivations = kernel(LinearMap(da * de, len(rows), RationalMatrix.from_rows(rows, da * de)))
+    stacked = [row for lp, rp in zip(e.left_action, e.right_action) for row in (lp - rp)._rows]
+    inner = image(LinearMap(de, da * de, RationalMatrix.from_rows(stacked, de)))
     for r in range(inner.basis.rows):
         if not derivations.contains(inner.basis._rows[r]):
             raise RuntimeError("an inner derivation fails the Leibniz system")
@@ -455,79 +434,44 @@ def diagonal_check(a: StructureAlgebra):
     """Search for a separating diagonal: a tensor m with a.m = m.a for all
     a and multiplication collapsing m onto the unit.
 
+    The system stacks L_t (x) 1 - 1 (x) R_t for every basis t over the
+    collapse map e_p (x) e_q -> e_p e_q, with the unit as right-hand side.
     Returns the diagonal as a list of (left factor, right factor) element
-    pairs, or None when the linear system is inconsistent. The returned
-    tensor is re-verified by substitution through the algebra product.
+    pairs, or None when the system is inconsistent. The solution is then
+    re-verified through the multiplication matrices alone: read as the
+    d x d coefficient matrix M, it must satisfy L_t M = M R_tT for every t
+    and sum_p L_p (row p of M) = the unit.
     """
     unit = find_unit(a)
     if unit is None:
         raise NotUnitalError(f"{a.name} has no unit")
     d = a.dim
     rows = []
-    rhs_entries = {}
     ide = LinearMap.identity(d)
     for t in range(d):
         lt = LinearMap(d, d, a.left_mult_matrix(t))
         rt = LinearMap(d, d, a.right_mult_matrix(t))
-        block = kronecker(lt, ide).matrix - kronecker(ide, rt).matrix
-        rows.extend(block._rows)
-    base = len(rows)
-    for r in range(d):
-        rows.append({})
-    for (p, q), vec in a.structure.items():
-        col = p * d + q
-        for r, v in vec.items():
-            rows[base + r][col] = rows[base + r].get(col, 0) + v
-    for r, v in unit.coeffs.items():
-        rhs_entries[base + r] = v
-    system = LinearMap(d * d, len(rows), RationalMatrix.from_rows(rows, d * d))
-    m = solve(system, rhs_entries)
+        rows.extend((kronecker(lt, ide).matrix - kronecker(ide, rt).matrix)._rows)
+    collapse = RationalMatrix.from_cols(
+        [a.structure.get((p, q), {}) for p in range(d) for q in range(d)], d)
+    rhs = {len(rows) + r: v for r, v in unit.coeffs.items()}
+    rows.extend(collapse._rows)
+    m = solve(LinearMap(d * d, len(rows), RationalMatrix.from_rows(rows, d * d)), rhs)
     if m is None:
         return None
-    by_left: dict[int, dict] = {}
+    coeffs = RationalMatrix(d, d)
     for idx, v in m.items():
-        by_left.setdefault(idx // d, {})[idx % d] = v
-    pairs = [
-        (a.basis_element(p), AlgebraElement(a, right))
-        for p, right in sorted(by_left.items())
-    ]
-    # substitution check through the algebra product itself
+        coeffs._rows[idx // d][idx % d] = v
     for t in range(d):
-        et = {t: 1}
-        left_side: dict = {}
-        right_side: dict = {}
-        collapse: dict = {}
-        for x, y in pairs:
-            tx = a.mul(et, x.coeffs)
-            for p, cp in tx.items():
-                for q, cq in y.coeffs.items():
-                    k = p * d + q
-                    z = left_side.get(k, 0) + cp * cq
-                    if z:
-                        left_side[k] = z
-                    elif k in left_side:
-                        del left_side[k]
-            yt = a.mul(y.coeffs, et)
-            for p, cp in x.coeffs.items():
-                for q, cq in yt.items():
-                    k = p * d + q
-                    z = right_side.get(k, 0) + cp * cq
-                    if z:
-                        right_side[k] = z
-                    elif k in right_side:
-                        del right_side[k]
-        if left_side != right_side:
+        if a.left_mult_matrix(t) @ coeffs != coeffs @ a.right_mult_matrix(t).transpose():
             raise RuntimeError(f"diagonal substitution failed at basis {t}")
-    for x, y in pairs:
-        for r, v in a.mul(x.coeffs, y.coeffs).items():
-            z = collapse.get(r, 0) + v
-            if z:
-                collapse[r] = z
-            elif r in collapse:
-                del collapse[r]
-    if collapse != unit.coeffs:
+    collapsed: dict = {}
+    for p, row in enumerate(coeffs._rows):
+        collapsed = vec_add(collapsed, a.left_mult_matrix(p).apply(row))
+    if collapsed != unit.coeffs:
         raise RuntimeError("diagonal does not collapse onto the unit")
-    return pairs
+    return [(a.basis_element(p), AlgebraElement(a, row))
+            for p, row in enumerate(coeffs._rows) if row]
 
 
 @dataclass

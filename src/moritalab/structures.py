@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactla import (
     LinearMap,
@@ -52,8 +51,6 @@ from .exactla import (
     vec_add,
     vec_scale,
 )
-
-QQ = Fraction
 
 
 class CayleyTableError(ValueError):
@@ -746,49 +743,22 @@ def algebra_tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra
 
 
 def find_unit(a: StructureAlgebra) -> AlgebraElement | None:
-    """Solve u * e_p = e_p * u = e_p for all p; verify by substitution."""
+    """Solve u * e_p = e_p * u = e_p for all p; verify by substitution.
+
+    The system stacks R_p (x -> x * e_p) and L_p (x -> e_p * x) for every
+    p, each block with right-hand side e_p.
+    """
     d = a.dim
     rows = []
     rhs = {}
-    eq = 0
     for p in range(d):
-        # sum_q u_q (e_q e_p) = e_p   and   sum_q u_q (e_p e_q) = e_p
-        right_rows = [{} for _ in range(d)]
-        left_rows = [{} for _ in range(d)]
-        for q in range(d):
-            for r, v in a.structure.get((q, p), {}).items():
-                right_rows[r][q] = v
-            for r, v in a.structure.get((p, q), {}).items():
-                left_rows[r][q] = v
-        for r in range(d):
-            if right_rows[r]:
-                rows.append(right_rows[r])
-                if r == p:
-                    rhs[eq] = QQ(1)
-                eq += 1
-            elif r == p:
-                rows.append({})
-                rhs[eq] = QQ(1)
-                eq += 1
-            if left_rows[r]:
-                rows.append(left_rows[r])
-                if r == p:
-                    rhs[eq] = QQ(1)
-                eq += 1
-            elif r == p:
-                rows.append({})
-                rhs[eq] = QQ(1)
-                eq += 1
-    f = LinearMap(d, len(rows), RationalMatrix.from_rows(rows, d))
-    u = solve(f, rhs)
-    if u is None:
+        for m in (a.right_mult_matrix(p), a.left_mult_matrix(p)):
+            rhs[len(rows) + p] = 1
+            rows.extend(m._rows)
+    u = solve(LinearMap(d, len(rows), RationalMatrix.from_rows(rows, d)), rhs)
+    if u is None or not a._is_two_sided_unit(u):
         return None
-    elem = AlgebraElement(a, u)
-    for p in range(d):
-        e = {p: 1}
-        if a.mul(elem.coeffs, e) != e or a.mul(e, elem.coeffs) != e:
-            return None
-    return elem
+    return AlgebraElement(a, u)
 
 
 def triple_basis_iso(index_size: int, g: FiniteGroup) -> tuple[LinearMap, LinearMap]:

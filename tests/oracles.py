@@ -321,3 +321,144 @@ def quotient_actions(e, f, over):
                 [{c: x for c, x in enumerate(row) if x} for row in t], len(free)))
     return Bimodule(e.left_algebra, f.right_algebra, len(free), actions["left"],
                     actions["right"], name=f"{e.name}(x)_{over.name}{f.name}")
+
+
+# Unit, diagonal and derivation systems built entry by entry from the
+# structure constants and the action columns: the references for the
+# whole-matrix builders in moritalab.structures and moritalab.homology.
+
+
+SCALES = [2, Fraction(1, 3), 3, Fraction(-1, 2)]
+
+
+def rescaled(a, factors=SCALES):
+    """a in the basis e'_p = factors[p] e_p: structure constants other
+    than 1 (such as 1/18), so derivation steps divide by c_t != 1 and the
+    linear systems carry coefficients other than +-1."""
+    from moritalab.structures import StructureAlgebra
+
+    lam = [Fraction(factors[p % len(factors)]) for p in range(a.dim)]
+    structure = {(p, q): {r: lam[p] * lam[q] * c / lam[r] for r, c in vec.items()}
+                 for (p, q), vec in a.structure.items()}
+    return StructureAlgebra(a.dim, a.labels, structure, name=f"{a.name}'")
+
+
+def unit_system(a):
+    """Rows and right-hand side of u e_p = e_p u = e_p for all p: for each
+    p and output coordinate r, the row sum_q u_q (e_q e_p)_r, then the row
+    sum_q u_q (e_p e_q)_r, zero rows left out unless r = p."""
+    d = a.dim
+    rows, rhs = [], {}
+    for p in range(d):
+        right_rows = [{} for _ in range(d)]
+        left_rows = [{} for _ in range(d)]
+        for q in range(d):
+            for r, v in a.structure.get((q, p), {}).items():
+                right_rows[r][q] = v
+            for r, v in a.structure.get((p, q), {}).items():
+                left_rows[r][q] = v
+        for r in range(d):
+            for side in (right_rows, left_rows):
+                if side[r] or r == p:
+                    if r == p:
+                        rhs[len(rows)] = 1
+                    rows.append(side[r])
+    return rows, rhs
+
+
+def is_unit(a, u):
+    """u e_p = e_p u = e_p for every basis element, from the structure
+    constants."""
+    return all(_product(a.structure, u, {p: 1}) == {p: 1} == _product(a.structure, {p: 1}, u)
+               for p in range(a.dim))
+
+
+def diagonal_system(a, unit):
+    """Rows and right-hand side for a diagonal m = sum m_pq e_p (x) e_q,
+    unknown p*d + q: for each t the coordinates of t.m - m.t, then the
+    collapse rows sum m_pq (e_p e_q)_r = unit_r."""
+    d = a.dim
+    rows = []
+    for t in range(d):
+        block = [{} for _ in range(d * d)]
+        for p in range(d):
+            for q in range(d):
+                for r, v in a.structure.get((t, p), {}).items():
+                    block[r * d + q][p * d + q] = block[r * d + q].get(p * d + q, 0) + v
+                for s, v in a.structure.get((q, t), {}).items():
+                    block[p * d + s][p * d + q] = block[p * d + s].get(p * d + q, 0) - v
+        rows.extend({k: v for k, v in row.items() if v} for row in block)
+    rhs = {len(rows) + r: v for r, v in unit.items()}
+    collapse = [{} for _ in range(d)]
+    for (p, q), vec in a.structure.items():
+        for r, v in vec.items():
+            collapse[r][p * d + q] = v
+    return rows + collapse, rhs
+
+
+def diagonal_defects(a, pairs, unit):
+    """Substitution of a diagonal, given as (left, right) element pairs,
+    through the algebra product: one message per basis t with
+    t.m != m.t, and one if m does not collapse onto the unit."""
+    out = []
+    for t in range(a.dim):
+        left_side, right_side = {}, {}
+        for x, y in pairs:
+            for p, cp in a.mul({t: 1}, x.coeffs).items():
+                for q, cq in y.coeffs.items():
+                    left_side[p, q] = left_side.get((p, q), 0) + cp * cq
+            for p, cp in x.coeffs.items():
+                for q, cq in a.mul(y.coeffs, {t: 1}).items():
+                    right_side[p, q] = right_side.get((p, q), 0) + cp * cq
+        if {k: v for k, v in left_side.items() if v} != \
+                {k: v for k, v in right_side.items() if v}:
+            out.append(f"diagonal substitution failed at basis {t}")
+    collapse = {}
+    for x, y in pairs:
+        for r, v in a.mul(x.coeffs, y.coeffs).items():
+            collapse[r] = collapse.get(r, 0) + v
+    if {r: v for r, v in collapse.items() if v} != unit:
+        out.append("diagonal does not collapse onto the unit")
+    return out
+
+
+def leibniz_rows(a, e):
+    """The Leibniz equations D(e_p e_q) - e_p.D(e_q) - D(e_p).e_q = 0 on
+    D flattened as unknowns p*de + t, one row per basis pair (p, q) and
+    output coordinate t, zero rows left out."""
+    de = e.dim
+    left_cols = [_cols(m) for m in e.left_action]
+    right_cols = [_cols(m) for m in e.right_action]
+    rows = []
+    for p in range(a.dim):
+        for q in range(a.dim):
+            eq = [{} for _ in range(de)]
+            for s, c in a.structure.get((p, q), {}).items():
+                for t in range(de):
+                    eq[t][s * de + t] = eq[t].get(s * de + t, 0) + c
+            for m, col in enumerate(left_cols[p]):
+                for t, v in col.items():
+                    eq[t][q * de + m] = eq[t].get(q * de + m, 0) - v
+            for m, col in enumerate(right_cols[q]):
+                for t, v in col.items():
+                    eq[t][p * de + m] = eq[t].get(p * de + m, 0) - v
+            rows.extend(r for r in ({k: v for k, v in row.items() if v} for row in eq) if r)
+    return rows
+
+
+def inner_columns(a, e):
+    """The inner derivation p -> e_p.x - x.e_p of each basis vector x = e_m
+    of e, flattened like leibniz_rows."""
+    de = e.dim
+    left_cols = [_cols(m) for m in e.left_action]
+    right_cols = [_cols(m) for m in e.right_action]
+    out = []
+    for m in range(de):
+        col = {}
+        for p in range(a.dim):
+            for t, v in left_cols[p][m].items():
+                col[p * de + t] = col.get(p * de + t, 0) + v
+            for t, v in right_cols[p][m].items():
+                col[p * de + t] = col.get(p * de + t, 0) - v
+        out.append({k: v for k, v in col.items() if v})
+    return out

@@ -55,6 +55,7 @@ from oracles import (
     balancing_span,
     intertwining_violations,
     quotient_actions,
+    rescaled,
     span_contains,
 )
 
@@ -540,21 +541,11 @@ def test_check_axioms_reports_non_commuting_valid_actions():
 
 # ------------------------------------------ balancing from generator relations
 
-def _rescaled(a, factors):
-    """a in the basis e'_p = factors[p] e_p: structure constants other
-    than 1, so a derivation step divides by c_t != 1."""
-    lam = [Fraction(factors[p % len(factors)]) for p in range(a.dim)]
-    structure = {(p, q): {r: lam[p] * lam[q] * c / lam[r] for r, c in vec.items()}
-                 for (p, q), vec in a.structure.items()}
-    return StructureAlgebra(a.dim, a.labels, structure, name=f"{a.name}'")
-
-
-_SCALES = [2, Fraction(1, 3), 3, Fraction(-1, 2)]
 RANDOM_MODULE_ALGEBRAS = [
     _B12,
-    _rescaled(matrix_algebra(2), _SCALES),
-    _rescaled(_B12, _SCALES),
-    _rescaled(semigroup_algebra(brandt(2, cyclic_group(1))), _SCALES),
+    rescaled(matrix_algebra(2)),
+    rescaled(_B12),
+    rescaled(semigroup_algebra(brandt(2, cyclic_group(1)))),
 ]
 
 

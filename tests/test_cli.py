@@ -62,6 +62,28 @@ def test_verify_strict_size_limit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "-1"], "--n must be >= 0"),
+    (["--size-limit", "0"], "--size-limit must be >= 1"),
+])
+def test_homology_rejects_bad_degree_and_budget(capsys, argv, message):
+    code = main(["homology", "--i", "1", *argv])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "-1"], "--n must be >= 0"),
+    (["--size-limit", "0"], "--size-limit must be >= 1"),
+])
+def test_verify_rejects_bad_degree_and_budget(tmp_path, capsys, argv, message):
+    out = tmp_path / "r.json"
+    code = main(["verify", "--check", "homology", "--i", "1", *argv, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_group_builtin(capsys):
     code = main(["group", "builtin", "S3"])
     out = capsys.readouterr().out
@@ -218,6 +240,10 @@ def test_campaign_validation():
         Campaign(instances=[Instance(1, 1, "C1")], checks=[])
     with pytest.raises(ConfigError):
         Campaign(instances=[Instance(0, 1, "C1")], checks=["lemma1"])
+    with pytest.raises(ConfigError):
+        Campaign(instances=[Instance(1, 1, "C1")], checks=["homology"], n_max=-1)
+    with pytest.raises(ConfigError):
+        Campaign(instances=[Instance(1, 1, "C1")], checks=["homology"], size_limit=0)
 
 
 def test_failed_check_exits_one(monkeypatch, capsys):

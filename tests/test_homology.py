@@ -1,6 +1,7 @@
 """Bar complex, Hochschild (co)homology, derivations, diagonals."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from moritalab.structures import (
     StructureAlgebra,
     brandt,
     cyclic_group,
+    find_unit,
     group_algebra,
     matrix_algebra,
     scalar_algebra,
@@ -33,9 +35,27 @@ from moritalab.homology import (
     vanishing_suite,
 )
 from moritalab import homology
-from moritalab.exactla import LinearMap, RationalMatrix, _forward_echelon, _mod2_independent
+from moritalab.exactla import (
+    LinearMap,
+    RationalMatrix,
+    _forward_echelon,
+    _mod2_independent,
+    image,
+    kernel,
+    solve,
+)
 
-from oracles import dense_rank, matrix_of_linear_map
+from oracles import (
+    dense_rank,
+    diagonal_defects,
+    diagonal_system,
+    inner_columns,
+    is_unit,
+    leibniz_rows,
+    matrix_of_linear_map,
+    rescaled,
+    unit_system,
+)
 
 
 # ----------------------------------------------------------------- bar complex
@@ -300,6 +320,15 @@ def test_column_selector_hands_only_independent_columns_to_engine(monkeypatch):
     assert len(set(cx._col_sources[3])) == 2037
 
 
+def test_representatives_accept_fraction_kernel_vectors():
+    # kernel vectors come from a canonical RREF and may hold Fractions; the
+    # echelon insertion takes primitive integer rows, so they are converted
+    half = {0: Fraction(1, 2), 2: 1}
+    reps = homology._representatives([half, {0: 1, 2: 2}, {1: Fraction(-1, 3)}], {}, 2)
+    assert reps == [half, {1: Fraction(-1, 3)}]
+    assert homology._representatives([{0: 1, 2: 2}], {0: {0: 1, 2: 2}}, 1) == []
+
+
 def test_chain_complex_always_checks_composite_zero():
     # b_1 = identity on a line and b_2 = identity: b_1 b_2 != 0
     ident = LinearMap.identity(1)
@@ -446,6 +475,117 @@ def test_diagonal_requires_unit():
     zero = StructureAlgebra(2, ["x", "y"], {}, name="null")
     with pytest.raises(NotUnitalError):
         diagonal_check(zero)
+
+
+# ---------------------- whole-matrix builders against entry-by-entry systems
+
+def _builder_algebras():
+    """Every algebra of the rank battery, the dual numbers among them, and
+    rescaled Brandt and matrix algebras whose systems carry coefficients
+    other than +-1."""
+    algebras = [cx.algebra for _, cx in rank_battery()[:4]]
+    algebras += [rescaled(matrix_algebra(2)),
+                 rescaled(semigroup_algebra(brandt(1, cyclic_group(2)))),
+                 rescaled(semigroup_algebra(brandt(2, cyclic_group(1)))),
+                 rescaled(semigroup_algebra(brandt(2, cyclic_group(2))))]
+    return algebras
+
+
+def test_find_unit_matches_entrywise_system():
+    null = StructureAlgebra(2, ["x", "y"], {}, name="null")
+    for a in _builder_algebras() + [null]:
+        rows, rhs = unit_system(a)
+        expected = solve(LinearMap(a.dim, len(rows), RationalMatrix.from_rows(rows, a.dim)), rhs)
+        unit = find_unit(a)
+        if expected is None or not is_unit(a, expected):
+            assert unit is None, a.name
+        else:
+            assert unit is not None and unit.coeffs == expected, a.name
+
+
+def _flat(a, pairs):
+    """A diagonal as {p*d + q: coefficient of e_p (x) e_q}."""
+    return {p * a.dim + q: v for x, y in pairs for p in x.coeffs for q, v in y.coeffs.items()}
+
+
+def test_diagonal_check_matches_entrywise_system():
+    algebras = _builder_algebras()
+    found = 0
+    for a in algebras:
+        unit = find_unit(a).coeffs
+        rows, rhs = diagonal_system(a, unit)
+        d = a.dim
+        expected = solve(LinearMap(d * d, len(rows), RationalMatrix.from_rows(rows, d * d)), rhs)
+        diag = diagonal_check(a)
+        if expected is None:
+            assert diag is None, a.name
+            continue
+        found += 1
+        assert _flat(a, diag) == expected, a.name
+        assert diagonal_defects(a, diag, unit) == [], a.name
+    assert found == len(algebras) - 1  # all but the dual numbers
+
+
+def _builder_modules():
+    cases = [(cx.algebra, cx.coefficients) for _, cx in rank_battery()]
+    for a in _builder_algebras()[4:7]:
+        reg = regular_bimodule(a)
+        cases += [(a, dual_bimodule(reg)), (a, seeded_random_bimodule(a, 7))]
+    return cases
+
+
+def test_derivation_space_matches_entrywise_system():
+    for a, e in _builder_modules():
+        ds = derivation_space(a, e)
+        n = a.dim * e.dim
+        rows = leibniz_rows(a, e)
+        leibniz = LinearMap(n, len(rows), RationalMatrix.from_rows(rows, n))
+        assert ds.derivations == kernel(leibniz), (a.name, e.name)
+        assert ds.derivations.dim == n - dense_rank(matrix_of_linear_map(leibniz))
+        assert ds.inner == image(LinearMap.from_cols(inner_columns(a, e), n)), (a.name, e.name)
+
+
+def _pairs(a, flat):
+    rows: dict = {}
+    for k, v in flat.items():
+        rows.setdefault(k // a.dim, {})[k % a.dim] = v
+    return [(a.basis_element(p), a.element(row)) for p, row in sorted(rows.items())]
+
+
+def _perturbed_solve(index, delta):
+    """solve, with delta added to coordinate index of its solution."""
+    def perturbed(f, target):
+        x = dict(solve(f, target))
+        x[index] = x.get(index, 0) + delta
+        return {k: v for k, v in x.items() if v}
+    return perturbed
+
+
+@pytest.mark.parametrize("algebra", [
+    matrix_algebra(2),
+    semigroup_algebra(brandt(1, cyclic_group(2))),
+    rescaled(semigroup_algebra(brandt(2, cyclic_group(1)))),
+], ids=lambda a: a.name)
+def test_diagonal_recheck_catches_one_changed_coefficient(monkeypatch, algebra):
+    unit = find_unit(algebra).coeffs
+    true = _flat(algebra, diagonal_check(algebra))
+    zeros = [k for k in range(algebra.dim ** 2) if k not in true]
+    for index in sorted(true) + zeros[:3]:
+        monkeypatch.setattr(homology, "solve", _perturbed_solve(index, 1))
+        with pytest.raises(RuntimeError) as err:
+            diagonal_check(algebra)
+        monkeypatch.undo()
+        changed = _pairs(algebra, {**true, index: true.get(index, 0) + 1})
+        # the first defect that substitution through the product finds
+        assert str(err.value) == diagonal_defects(algebra, changed, unit)[0]
+
+
+def test_diagonal_recheck_catches_wrong_collapse(monkeypatch):
+    # in dimension 1 every tensor commutes with the algebra, so only the
+    # collapse can catch a doubled coefficient
+    monkeypatch.setattr(homology, "solve", _perturbed_solve(0, 1))
+    with pytest.raises(RuntimeError, match="diagonal does not collapse onto the unit"):
+        diagonal_check(scalar_algebra())
 
 
 # ------------------------------------------------------------- vanishing suite

@@ -315,6 +315,18 @@ def test_find_unit_none_for_zero_products():
     assert find_unit(zero) is None
 
 
+@pytest.mark.parametrize("wrong", [
+    {0: 1},                     # e_(1,1) alone: a unit only for one corner
+    {0: 1, 3: 1, 4: -1, 1: 1},  # the true unit with one coefficient added
+    {0: 1, 3: 1},               # the true unit with one coefficient dropped
+])
+def test_find_unit_rechecks_the_solution(monkeypatch, wrong):
+    alg = semigroup_algebra(brandt(2, cyclic_group(1)))
+    assert find_unit(alg).coeffs == {0: 1, 3: 1, 4: -1}
+    monkeypatch.setattr(structures, "solve", lambda f, target: dict(wrong))
+    assert find_unit(alg) is None
+
+
 def test_constructor_rejects_nonassociative_structure():
     # x*x = y, x*y = x is not associative: (xx)x = yx = 0 but x(xx) = xy = x
     with pytest.raises(ValueError):
