@@ -1,11 +1,10 @@
 """Bimodules over structure algebras and the balanced tensor product.
 
 A bimodule stores one action matrix per algebra basis vector. The axioms
-(each action is multiplicative, the two actions commute) are verified
-exhaustively on bases at construction; well-definedness of quotient
-actions is likewise verified, never assumed, because that is exactly
-where a subtle bug would silently corrupt every downstream homology
-computation.
+(each action is multiplicative, the two actions commute) are verified at
+construction; well-definedness of quotient actions is likewise verified,
+never assumed, because that is exactly where a subtle bug would silently
+corrupt every downstream homology computation.
 
 The balanced tensor E (x)_A F is the quotient of E (x) F by the balancing
 subspace N. quotient() gives a projection proj with kernel exactly N, so
@@ -19,46 +18,43 @@ gives the quotient action.
 Three checks use the generator derivation of an algebra (structures):
 generators S and steps t <- (s, u), with e_t a combination of e_s e_u
 and elements derived before t. An algebra with a derivation is
-associative at every basis triple, since the derivation is only given
-once its generator rows certify that. Write L, R for actions, extended
-linearly to algebra elements.
+associative at every basis triple. Write L, R for actions, extended
+linearly to algebra elements. Each Bimodule records once per side
+(_rows_hold) whether its action holds on the generator rows,
+L_s L_q = L_(e_s e_q) or R_q R_s = R_(e_s e_q) for generators s and all
+q; every step pair (s, u) is such a row. All three checks read it.
 
-* N is spanned by the relations of S. Let N_a be the span of
-  x.a (x) y - x (x) a.y. If x.(e_s e_u) = (x.e_s).e_u on E and
-  (e_s e_u).y = e_s.(e_u.y) on F (the step identities, compared as whole
-  matrices), then x.(e_s e_u) (x) y - x (x) (e_s e_u).y is the sum of
-  (x.e_s).e_u (x) y - x.e_s (x) e_u.y in N_u and
-  x.e_s (x) e_u.y - x (x) e_s.(e_u.y) in N_s. So N_(e_s e_u) lies in
-  N_s + N_u, and N_t in N_s + N_u + sum of N_r over the other support
-  elements r; by induction over the steps every N_t lies in the span of
-  the N_s for s in S. The RREF is canonical, so the relations are
-  identical to those of all basis triples. If a step identity fails,
-  every basis element is used.
-* The generator rows imply every axiom. Suppose L_s L_q = L_(e_s e_q)
-  for s in S_A and all q. For a step t <- (s, u), c_t L_t = L_s L_u -
+* The rows imply every axiom. At a step, c_t L_t = L_s L_u -
   sum c_r L_r, so by induction on u and the r, c_t L_t L_q =
   L_s L_(e_u e_q) - sum c_r L_(e_r e_q) = L_(e_s (e_u e_q)) -
-  sum c_r L_(e_r e_q), and associativity at (s, u, q) turns this into
-  c_t L_(e_t e_q). The right action is the mirror image: R_q R_s =
-  R_(e_s e_q) for s in S_B gives R_q R_t = R_(e_t e_q). With both
-  actions multiplicative, L_s R_s' = R_s' L_s on S_A x S_B extends to
-  all of B by induction over B's steps and then to all of A over A's.
-  So check_axioms returns [] once these pairs hold, and otherwise runs
-  the full enumeration, whose violation list is unchanged.
-* The quotient actions of the balanced tensor follow from the
-  generators' too. Let m_p = L_p (x) 1 be e's left action on E (x) F.
-  If L_s L_u = L_(e_s e_u) at every step (s, u) of A's derivation, then
-  c_t m_t = m_s m_u - sum over r != t of c_r m_r holds as whole matrices.
-  For each generator s it is checked that m_s maps N into N and that
-  proj m_s = T_s proj, where T_s is proj m_s on the free columns; the
-  other T_t are replayed by c_t T_t = T_s T_u - sum c_r T_r. By
-  induction over the steps every m_t then maps N into N, and
-  c_t proj m_t = T_s proj m_u - sum c_r T_r proj = c_t T_t proj. As
-  proj section = 1, T_t = proj m_t section exactly: the matrix the
-  per-basis check forms, with integral entries kept as int. The right
-  action is the mirror image, with T_u T_s. Without a derivation, when
-  a step identity fails or when a generator check fails, every basis
-  element is checked, so a broken input raises the same error.
+  sum c_r L_(e_r e_q), which associativity at (s, u, q) turns into
+  c_t L_(e_t e_q); R is the mirror image. Then L_s R_s' = R_s' L_s on
+  S_A x S_B extends over B's steps and then over A's. So check_axioms
+  returns [] once both records and these pairs hold, and otherwise
+  runs the full enumeration, whose violation list is unchanged.
+* N is spanned by the relations of S. Let N_a be the span of
+  x.a (x) y - x (x) a.y. With e's right and f's left record,
+  x.(e_s e_u) (x) y - x (x) (e_s e_u).y is the sum of
+  (x.e_s).e_u (x) y - x.e_s (x) e_u.y in N_u and
+  x.e_s (x) e_u.y - x (x) e_s.(e_u.y) in N_s, so by induction over the
+  steps every N_t lies in the span of the N_s for s in S. The RREF is
+  canonical, so the relations are identical to those of all basis
+  triples. If a record fails, every basis element is used.
+* The quotient is a bimodule from the generators' checks. Let
+  m_p = L_p (x) 1 on E (x) F; with e's left record, m_p m_q =
+  sum c_r m_r for every pair. For each generator s it is checked that
+  m_s maps N into N and that proj m_s = T_s proj, where T_s is proj m_s
+  on the free columns; the other T_t are replayed by c_t T_t = T_s T_u -
+  sum c_r T_r. By induction over the steps every m_t maps N into N and
+  proj m_t = T_t proj, so T_t = proj m_t section (proj section = 1):
+  the matrix the per-basis check forms, integral entries kept as int.
+  Then T_p T_q proj = proj m_p m_q = sum c_r T_r proj, and proj is
+  onto, so T_p T_q = sum c_r T_r; and L_p (x) 1 commutes with
+  1 (x) R_q, so the quotient actions commute. The right action is the
+  mirror image, with T_u T_s and f's right record. So the quotient
+  module is built unchecked. Without a derivation, when a record fails
+  or when a generator check fails, every basis element is checked and
+  so is the quotient module, so a broken input raises the same error.
 
 The modules of semigroups and S-sets have monomial actions, and N then
 needs no elimination:
@@ -85,6 +81,7 @@ from .exactla import (
     RationalMatrix,
     Subspace,
     binomial_span,
+    inverse,
     kronecker,
     linear_combination,
     quotient,
@@ -115,7 +112,7 @@ class Bimodule:
     """
 
     __slots__ = ("left_algebra", "right_algebra", "dim", "left_action", "right_action",
-                 "labels", "name", "_step_checks", "__weakref__")
+                 "labels", "name", "_row_checks", "__weakref__")
 
     def __init__(self, left_algebra, right_algebra, dim, left_action, right_action,
                  labels=None, name="E", check=True):
@@ -133,7 +130,7 @@ class Bimodule:
         self.right_action = tuple(right_action)
         self.labels = tuple(labels) if labels else tuple(f"x{k}" for k in range(dim))
         self.name = name
-        self._step_checks = {}
+        self._row_checks = {}
         if check:
             bad = self.check_axioms(stop_early=True)
             if bad:
@@ -148,17 +145,19 @@ class Bimodule:
         pair), and L_p R_q = R_q L_p. One violation is reported per
         offending basis pair.
 
-        When both algebras have a generator derivation, the pairs with a
-        generator first (and generator pairs for commutation) are checked
-        first; if they all hold, every pair holds (module docstring). Any
-        failure there falls through to the full enumeration, which gives
-        the violation list.
+        The generator rows of both sides (_rows_hold, recomputed here) and
+        commutation on S_A x S_B are checked first; if they all hold,
+        every pair holds (module docstring). Any failure there falls
+        through to the full enumeration, which gives the violation list.
         """
-        if self._generator_pairs_hold():
-            return []
-        out = []
+        self._row_checks.clear()
         A, B = self.left_algebra, self.right_algebra
         left, right = self.left_action, self.right_action
+        if self._rows_hold("left") and self._rows_hold("right") and all(
+                left[s] @ right[t] == right[t] @ left[s]
+                for s in A.derivation().generators for t in B.derivation().generators):
+            return []
+        out = []
         for p, q in product(range(A.dim), range(A.dim)):
             if not _left_pair_holds(left, A, p, q):
                 out.append(f"left action not multiplicative at basis pair ({p},{q})")
@@ -176,35 +175,21 @@ class Bimodule:
                     return out
         return out
 
-    def _generator_pairs_hold(self) -> bool:
-        """The generator pass of check_axioms: left pairs (s, q) for s in
-        S_A, right pairs (s, q) for s in S_B, and commutation on S_A x S_B."""
-        A, B = self.left_algebra, self.right_algebra
-        da, db = A.derivation(), B.derivation()
-        if da is None or db is None:
-            return False
-        left, right = self.left_action, self.right_action
-        return (
-            all(_left_pair_holds(left, A, s, q) for s in da.generators for q in range(A.dim))
-            and all(_right_pair_holds(right, B, s, q)
-                    for s in db.generators for q in range(B.dim))
-            and all(left[s] @ right[t] == right[t] @ left[s]
-                    for s in da.generators for t in db.generators)
-        )
-
-    def _steps_hold(self, side: str) -> bool:
-        """Whether the action on side (over its algebra) satisfies the
-        module identity at every step pair (s, u) of the algebra's
-        derivation; False when there is no derivation. Cached."""
-        ok = self._step_checks.get(side)
+    def _rows_hold(self, side: str) -> bool:
+        """Whether the action on side is multiplicative on the generator
+        rows of its algebra: the module identity at (s, q) for every
+        generator s of the derivation and every basis element q. False
+        when there is no derivation. Recorded once per side."""
+        ok = self._row_checks.get(side)
         if ok is None:
             if side == "left":
                 alg, actions, holds = self.left_algebra, self.left_action, _left_pair_holds
             else:
                 alg, actions, holds = self.right_algebra, self.right_action, _right_pair_holds
             der = alg.derivation()
-            ok = der is not None and all(holds(actions, alg, s, u) for _, s, u in der.steps)
-            self._step_checks[side] = ok
+            ok = der is not None and all(holds(actions, alg, s, q)
+                                         for s in der.generators for q in range(alg.dim))
+            self._row_checks[side] = ok
         return ok
 
     def __eq__(self, other) -> bool:
@@ -393,19 +378,19 @@ def tensor(e: Bimodule, f: Bimodule) -> Bimodule:
 def _balancing_rows(e: Bimodule, f: Bimodule, over: StructureAlgebra):
     """The algebra basis elements q whose relations span the balancing
     subspace, with the certificate for that: the generators of over's
-    derivation when e's right and f's left action satisfy the module
-    identity at every step pair, else every basis element."""
+    derivation when e's right and f's left action hold on its generator
+    rows (Bimodule._rows_hold), else every basis element."""
     der = over.derivation()
     if (der is not None and e.right_algebra.derivation() == der == f.left_algebra.derivation()
-            and e._steps_hold("right") and f._steps_hold("left")):
+            and e._rows_hold("right") and f._rows_hold("left")):
         return der.generators, "generators"
     return range(over.dim), "exhaustive"
 
 
 def balancing_subspace(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Subspace:
     """Span of x.a (x) y - x (x) a.y over all basis triples, in canonical
-    form. The relations of the generators alone span it whenever the step
-    identities hold (module docstring); the RREF is the same either way."""
+    form. The relations of the generators alone span it whenever the
+    generator rows hold (module docstring); the RREF is the same either way."""
     return _balancing(e, f, over)[0]
 
 
@@ -459,11 +444,13 @@ class BalancedTensor:
     plain tensor product; section is an exact right inverse of proj;
     relations is the balancing subspace that was divided out. certificate
     says how relations was spanned: "generators" (the derivation's
-    generators, step identities verified) or "exhaustive" (every basis
-    element of the balancing algebra). action_certificate says the same
-    of the quotient actions: "generators" (checked on the generators of
-    the outer algebras and replayed over their steps) or "exhaustive"
-    (checked and formed for every basis element).
+    generators, e's right and f's left generator rows verified) or
+    "exhaustive" (every basis element of the balancing algebra).
+    action_certificate says the same of the quotient actions:
+    "generators" (checked on the generators of the outer algebras and
+    replayed over their steps; module is then a bimodule, unchecked) or
+    "exhaustive" (checked and formed for every basis element, and
+    module checked).
     """
 
     module: Bimodule
@@ -487,9 +474,9 @@ def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Balance
 
     Those checks run on the generators of the outer algebras only, and
     the other quotient actions are replayed over the derivation steps
-    (module docstring). Without a derivation, when a step identity fails
-    or when a generator check fails, every basis element is checked in
-    turn, so a broken input raises the error of the first failing one.
+    (module docstring). Otherwise every basis element is checked in turn
+    and so is the quotient module, so a broken input raises the error of
+    the first failing one.
     """
     rel, certificate = _balancing(e, f, over)
     q = quotient(e.dim * f.dim, rel)
@@ -520,7 +507,7 @@ def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Balance
         action_certificate = "exhaustive"
     small = Bimodule(
         e.left_algebra, f.right_algebra, q.dim, actions["left"], actions["right"],
-        name=f"{e.name}(x)_{over.name}{f.name}",
+        name=f"{e.name}(x)_{over.name}{f.name}", check=(action_certificate == "exhaustive"),
     )
     return BalancedTensor(module=small, proj=q.proj, section=q.section, relations=rel,
                           certificate=certificate, action_certificate=action_certificate)
@@ -530,11 +517,11 @@ def _generator_actions(e: Bimodule, f: Bimodule, action) -> dict | None:
     """The quotient actions {"left": [...], "right": [...]}: action(side, s)
     for the generators s of each outer algebra, and for a step t <- (s, u)
     with e_s e_u = sum c_r e_r, c_t T_t = T_s T_u - sum_(r != t) c_r T_r
-    (T_u T_s on the right). None when a derivation or a step identity is
-    missing or a generator check fails."""
+    (T_u T_s on the right). None when e's left or f's right record
+    (Bimodule._rows_hold) fails or a generator check fails."""
     out = {}
     for side, mod, alg in (("left", e, e.left_algebra), ("right", f, f.right_algebra)):
-        if not mod._steps_hold(side):
+        if not mod._rows_hold(side):
             return None
         der = alg.derivation()
         acts = [None] * alg.dim
@@ -669,25 +656,15 @@ def seeded_random_bimodule(a: StructureAlgebra, seed: int) -> Bimodule:
     pad = rng.randrange(0, 2)
     dim = base.dim + pad
     u = RationalMatrix.identity(dim)
-    uinv = RationalMatrix.identity(dim)
     for _ in range(3 * dim):
         i = rng.randrange(dim)
         j = rng.randrange(dim)
         if i == j:
             continue
         c = rng.choice([-2, -1, 1, 2])
-        # row op on u: row_j += c * row_i; inverse tracks the column op
+        # row op on u: row_j += c * row_i
         u._rows[j] = vec_sub(u._rows[j], {k: -c * v for k, v in u._rows[i].items()})
-        for r in range(dim):
-            x = uinv._rows[r].get(j)
-            if x:
-                y = uinv._rows[r].get(i, 0) - c * x
-                if y:
-                    uinv._rows[r][i] = y
-                elif i in uinv._rows[r]:
-                    del uinv._rows[r][i]
-        u._colcache = None
-        uinv._colcache = None
+    uinv = inverse(LinearMap(dim, dim, u)).matrix
     assert u @ uinv == RationalMatrix.identity(dim)
     left = [u @ _extend_block(m, dim) @ uinv for m in base.left_action]
     right = [u @ _extend_block(m, dim) @ uinv for m in base.right_action]

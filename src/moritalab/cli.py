@@ -153,6 +153,8 @@ class Campaign:
             if inst.i < 1 or inst.j < 1:
                 raise ConfigError("index size must be >= 1")
         _check_degree_and_budget(self.n_max, self.size_limit)
+        if self.jobs < 1:
+            raise ConfigError("--jobs must be >= 1")
 
     def to_dict(self):
         return {

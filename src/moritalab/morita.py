@@ -42,7 +42,6 @@ from .structures import (
     brandt,
     contracted_brandt_algebra,
     direct_sum,
-    find_unit,
     matrix_algebra,
     scalar_algebra,
     semigroup_algebra,
@@ -325,17 +324,18 @@ def split_sequence(index_size: int, g: FiniteGroup) -> SplitSequence:
     if theta.apply({z: 1}) != {nt: 1}:
         raise VerificationFailed("zero_transport", "theta of the zero point mass is not (0, 1)")
 
-    unit_s = find_unit(alg_s)
+    # semigroup_algebra solved for the unit and checked it by substitution
+    unit_s = alg_s.unit
     if unit_s is None:
         raise VerificationFailed("semigroup_unit", "semigroup algebra has no unit")
     expected_unit = dict(alg_t.unit)
     coeff = 1 - index_size
     if coeff:
         expected_unit[z] = coeff
-    if unit_s.coeffs != expected_unit:
+    if unit_s != expected_unit:
         raise VerificationFailed("unit_formula",
                                  "unit differs from identity triples plus (1-|I|) zero mass")
-    if sum_alg.unit is None or theta.apply(unit_s.coeffs) != sum_alg.unit:
+    if sum_alg.unit is None or theta.apply(unit_s) != sum_alg.unit:
         raise VerificationFailed("unit_transport", "theta does not carry unit to unit")
 
     return SplitSequence(

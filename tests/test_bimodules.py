@@ -623,7 +623,7 @@ def test_balanced_tensor_certificate_generators_on_witness_modules():
 
 def test_balanced_tensor_certificate_exhaustive_when_step_identity_broken():
     # zero left action and R_t = 1 for the first derived t, else 0: the
-    # step identity R_u R_s = R_t fails, the outer actions still preserve
+    # generator row R_u R_s = R_t fails, the outer actions still preserve
     # the relations, and they are spanned from every basis element
     m2 = matrix_algebra(2)
     t = m2.derivation().steps[0][0]
@@ -636,9 +636,73 @@ def test_balanced_tensor_certificate_exhaustive_when_step_identity_broken():
     bt = balanced_tensor(e, reg, m2)
     assert bt.certificate == "exhaustive"
     assert bt.relations.basis.to_dense() == balancing_span(e, reg, m2)
-    # e's left action is zero, so its step identities hold and the
+    # e's left action is zero, so its generator rows hold and the
     # quotient actions still come from the generators
     assert bt.action_certificate == "generators"
+
+
+def _replayed_line(alg, generator_values):
+    """A 1-dimensional module over alg whose left and right actions are the
+    given scalars on the generators and are replayed over the steps, so
+    that every step identity holds whatever the generators break."""
+    der = alg.derivation()
+    acts = {}
+    for side in ("left", "right"):
+        v = [0] * alg.dim
+        for s in der.generators:
+            v[s] = generator_values.get(s, 0)
+        for t, s, u in der.steps:
+            coeffs = alg.structure[(s, u)]
+            v[t] = Fraction(v[s] * v[u] - sum(c * v[r] for r, c in coeffs.items() if r != t),
+                            coeffs[t])
+        acts[side] = [RationalMatrix.from_rows([{0: x} if x else {}], 1) for x in v]
+    return Bimodule(alg, alg, 1, acts["left"], acts["right"], check=False)
+
+
+def test_balanced_tensor_exhaustive_when_steps_hold_but_generator_rows_fail():
+    # e_11 acts as 1 and the other matrix units as 0: every step identity
+    # holds, but L_(1,2) L_(2,1) = 0 differs from L_(1,1) on a generator row
+    m2 = matrix_algebra(2)
+    line = _replayed_line(m2, {m2.label_index("(1,1)"): 1})
+    violations = axiom_violations(line)
+    for _, s, u in m2.derivation().steps:
+        assert f"left action not multiplicative at basis pair ({s},{u})" not in violations
+        assert f"right action not anti-multiplicative at basis pair ({s},{u})" \
+            not in violations
+    reg = regular_bimodule(m2)
+    for e, f in ((line, reg), (reg, line)):
+        bt = balanced_tensor(e, f, m2)
+        assert bt.certificate == "exhaustive"
+        assert bt.action_certificate == "exhaustive"
+        assert bt.relations.basis.to_dense() == balancing_span(e, f, m2)
+        assert bt.module == quotient_actions(e, f, m2)
+    assert not line._rows_hold("left") and not line._rows_hold("right")
+
+
+def test_balanced_tensor_checks_the_quotient_on_the_per_basis_path():
+    # with zero right action on e and zero left action on f nothing is
+    # divided out, so the quotient's left action is the line's, which its
+    # generator rows reject: the quotient module's own axiom check is what
+    # refuses it
+    m2 = matrix_algebra(2)
+    zero = zero_action_module(m2, 1)
+    line = _replayed_line(m2, {m2.label_index("(1,1)"): 1})
+    e = Bimodule(m2, m2, 1, line.left_action, zero.right_action, check=False)
+    expected = _outcome(lambda: quotient_actions(e, zero, m2))
+    assert expected[0] is BimoduleAxiomError
+    assert _outcome(lambda: balanced_tensor(e, zero, m2)) == expected
+
+
+def test_check_axioms_recomputes_the_row_record():
+    m2 = matrix_algebra(2)
+    reg = regular_bimodule(m2)
+    mod = Bimodule(m2, m2, reg.dim, reg.left_action, reg.right_action, check=False)
+    mod._row_checks["left"] = False
+    assert mod.check_axioms() == []
+    assert mod._row_checks["left"] is True
+    line = _replayed_line(m2, {m2.label_index("(1,1)"): 1})
+    line._row_checks.update(left=True, right=True)
+    assert line.check_axioms() == axiom_violations(line) != []
 
 
 # ---------------------------------- quotient actions replayed from generators
@@ -674,8 +738,11 @@ def test_balanced_tensor_matches_per_basis_reference(case, fault):
         assert not any(isinstance(v, Fraction) and v.denominator == 1 for _, _, v in m.entries())
     if fault is None:
         assert got.action_certificate == "generators"
-    elif not (e._steps_hold("left") and f._steps_hold("right")):
+    elif not (e._rows_hold("left") and f._rows_hold("right")):
         assert got.action_certificate == "exhaustive"
+    if got.action_certificate == "generators":
+        # built unchecked, so its axioms rest on the generator proof
+        assert axiom_violations(got.module) == []
 
 
 def test_balanced_tensor_generator_failure_reports_first_failing_basis():

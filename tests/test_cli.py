@@ -84,6 +84,25 @@ def test_verify_rejects_bad_degree_and_budget(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_bad_jobs(tmp_path, capsys, jobs):
+    out = tmp_path / "r.json"
+    code = main(["verify", "--check", "lemma1", "--i", "1", "--jobs", jobs, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--jobs must be >= 1" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_verify_rejects_bad_jobs_from_config(tmp_path, capsys):
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps({"i": "1", "check": "lemma1", "jobs": 0}))
+    code = main(["verify", "--config", str(cfg)])
+    assert code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_group_builtin(capsys):
     code = main(["group", "builtin", "S3"])
     out = capsys.readouterr().out
@@ -244,6 +263,8 @@ def test_campaign_validation():
         Campaign(instances=[Instance(1, 1, "C1")], checks=["homology"], n_max=-1)
     with pytest.raises(ConfigError):
         Campaign(instances=[Instance(1, 1, "C1")], checks=["homology"], size_limit=0)
+    with pytest.raises(ConfigError):
+        Campaign(instances=[Instance(1, 1, "C1")], checks=["lemma1"], jobs=0)
 
 
 def test_failed_check_exits_one(monkeypatch, capsys):
