@@ -89,8 +89,6 @@ from .exactla import (
 )
 from .structures import StructureAlgebra, matrix_algebra, scalar_algebra
 
-QQ = Fraction
-
 
 class BimoduleAxiomError(ValueError):
     """An action table violates the bimodule axioms."""
@@ -536,7 +534,7 @@ def _generator_actions(e: Bimodule, f: Bimodule, action) -> dict | None:
             for r, c in coeffs.items():
                 if r != t:
                     acc = acc - acts[r].scale(c)
-            acts[t] = acc.scale(QQ(1, coeffs[t]))
+            acts[t] = acc.scale(Fraction(1, coeffs[t]))
         out[side] = acts
     return out
 

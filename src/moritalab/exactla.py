@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-QQ = Fraction
-
 # Sparse vectors are plain dicts index -> nonzero value (Fraction or int).
 
 
@@ -215,7 +213,7 @@ class RationalMatrix:
         return hash((self.rows, self.cols, sum(map(len, self._rows))))
 
     def to_dense(self):
-        return [[self._rows[r].get(c, QQ(0)) for c in range(self.cols)] for r in range(self.rows)]
+        return [[self._rows[r].get(c, 0) for c in range(self.cols)] for r in range(self.rows)]
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -333,15 +331,18 @@ def _mod2_independent(rows, limit: int) -> list[int]:
     set bit is the pivot: int.bit_length finds it in one step, and on bar
     boundaries, whose sorted rows lead with low columns, it needs about a
     quarter of the XORs the lowest set bit does.
+
+    _int_row keeps the support of a row (its values are nonzero), so the
+    raw rows sort as their primitive forms would, and a row is converted
+    only when the loop reaches it: on b_3 of l1(B(2,C3)) 10,407 of 28,561.
     """
-    ints = [_int_row(r) for r in rows]
     pivots: dict[int, int] = {}
     picked: list[int] = []
-    for i in sorted(range(len(ints)), key=lambda i: _sparsest_first(ints[i])):
+    for i in sorted(range(len(rows)), key=lambda i: _sparsest_first(rows[i])):
         if len(picked) >= limit:
             break
         m = 0
-        for k, v in ints[i].items():
+        for k, v in _int_row(rows[i]).items():
             if v & 1:
                 m |= 1 << k
         while m:
@@ -355,7 +356,8 @@ def _mod2_independent(rows, limit: int) -> list[int]:
     return picked
 
 
-def _forward_echelon(rows, stop_at: int | None = None, sources: list | None = None) -> dict:
+def _forward_echelon(rows, stop_at: int | None = None, sources: list | None = None,
+                     lead=min) -> dict:
     """Integer row echelon; returns {pivot column: primitive row}.
 
     Rows are inserted in _sparsest_first order; the span, and hence the
@@ -367,6 +369,12 @@ def _forward_echelon(rows, stop_at: int | None = None, sources: list | None = No
     because later rows never touch existing pivots. When sources is a
     list, the input index of each row that became a pivot is appended to
     it, in the order the pivots were found.
+
+    lead picks each row's pivot column, min (leading) or max (trailing);
+    see _echelon_insert. A row is kept exactly when it is independent of
+    the rows kept before it, so the pivot count, the stop and sources do
+    not depend on lead; only the stored echelon does, and RREF, kernels
+    and representatives need the leading one.
     """
     pivots: dict[int, dict] = {}
     ints = [_int_row(r) for r in rows]
@@ -378,19 +386,27 @@ def _forward_echelon(rows, stop_at: int | None = None, sources: list | None = No
     for row in ints:
         if len(pivots) == stop_at:
             break
-        if _echelon_insert(pivots, row) is not None and sources is not None:
+        if _echelon_insert(pivots, row, lead) is not None and sources is not None:
             sources.append(position[id(row)])
     return pivots
 
 
-def _echelon_insert(pivots: dict, row: dict) -> int | None:
+def _echelon_insert(pivots: dict, row: dict, lead=min) -> int | None:
     """Reduce one primitive integer row (see _int_row) against an echelon
     in place.
 
-    Returns the new pivot column if the row was independent, else None.
+    Each step cancels the row's pivot column lead(row); the echelon must
+    have been built with the same rule. Returns the new pivot column if
+    the row was independent, else None.
+
+    Either rule reduces the row exactly, so which rows are independent
+    does not change; fill-in does. Rows sorted by _sparsest_first lead
+    with low columns, and cancelling those first spreads each combination
+    over the rest of the row; cancelling the highest column first, as
+    _mod2_independent does, keeps the rows apart (see homology).
     """
     while row:
-        c = min(row)
+        c = lead(row)
         p = pivots.get(c)
         if p is None:
             pivots[c] = row
@@ -425,7 +441,7 @@ def _rref_rows(rows) -> list[tuple[int, dict]]:
     for c in cols:
         p = pivots[c]
         lead = p[c]
-        out.append((c, {k: nrat(QQ(v, lead)) for k, v in p.items()}))
+        out.append((c, {k: nrat(Fraction(v, lead)) for k, v in p.items()}))
     return out
 
 
@@ -503,8 +519,8 @@ def _ratio(x, y):
     """x / y exactly; integral values as int (see nrat)."""
     if type(x) is int and type(y) is int:
         q, r = divmod(x, y)
-        return q if not r else QQ(x, y)
-    return nrat(QQ(x) / y)
+        return q if not r else Fraction(x, y)
+    return nrat(Fraction(x) / y)
 
 
 def binomial_span(ambient_dim: int, relations) -> Subspace:
@@ -782,10 +798,11 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
     return a == b
 
 
-def l1_operator_norm(f: LinearMap) -> Fraction:
+def l1_operator_norm(f: LinearMap):
     """Operator norm for the l1 norms attached to the two standard bases.
 
-    Equals the max over columns of the column's absolute value sum.
+    Equals the max over columns of the column's absolute value sum; an
+    integral norm is a plain int (see nrat).
     """
     best = 0
     sums: dict = {}
@@ -794,7 +811,7 @@ def l1_operator_norm(f: LinearMap) -> Fraction:
     for s in sums.values():
         if s > best:
             best = s
-    return QQ(best)
+    return nrat(best)
 
 
 def kronecker(f: LinearMap, g: LinearMap) -> LinearMap:

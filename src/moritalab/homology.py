@@ -28,6 +28,15 @@ may be found, or a faulty choice may fall short exactly; then every
 column is eliminated as before. No rank rests on mod-2 arithmetic: it
 only decides which columns the exact elimination sees.
 
+The chosen columns pivot on their highest row index, as the mod-2
+selector does; every other elimination pivots on the lowest. Under
+either rule a column is reduced exactly and reaches zero exactly when it
+lies in the span of the columns before it, so the pivot count, and with
+it every rank and certificate, cannot change. The rule only decides
+fill-in: on b_3 of l1(B(2,C3)) the 2037 chosen columns take 2,295
+combine steps instead of 78,269. Only the echelon stored under the
+"bound" certificate is trailing, and representatives refuse that one.
+
 The row path first eliminates the rows of b_n restricted to the columns
 behind the column pivots. That submatrix's rank is a lower bound on rank
 b_n whatever the columns are, so a wrong column set can only fail to
@@ -146,8 +155,9 @@ class ChainComplex:
         """Column echelon of b_n, ended once its pivots reach the rank bound.
 
         Columns independent mod 2 are chosen first; being independent over
-        Q as well, they are eliminated exactly and, when there are as many
-        as the bound, prove the rank. Otherwise every column is eliminated.
+        Q as well, they are eliminated exactly, pivoting on their highest
+        row index, and, when there are as many as the bound, prove the
+        rank. Otherwise every column is eliminated, on leading pivots.
         """
         key = ("col", n)
         if key not in self._echelons:
@@ -157,8 +167,8 @@ class ChainComplex:
             piv: dict = {}
             sources: list = []
             if len(picked) == bound:
-                piv = _forward_echelon([cols[i] for i in picked],
-                                       stop_at=bound, sources=sources)
+                piv = _forward_echelon([cols[i] for i in picked], stop_at=bound,
+                                       sources=sources, lead=max)
                 sources = [picked[i] for i in sources]
             if len(piv) < bound:
                 sources = []

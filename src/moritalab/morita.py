@@ -11,7 +11,6 @@ matter how it was produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactla import (
     LinearMap,
@@ -46,8 +45,6 @@ from .structures import (
     scalar_algebra,
     semigroup_algebra,
 )
-
-QQ = Fraction
 
 
 class VerificationFailed(RuntimeError):

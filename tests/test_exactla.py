@@ -329,6 +329,16 @@ def test_l1_norm_column_sums():
     assert l1_operator_norm(LinearMap(2, 2, m)) == 3
 
 
+def test_l1_norm_and_dense_padding_are_plain_int_when_integral():
+    norm = l1_operator_norm(LinearMap.identity(3))
+    assert norm == 1 and type(norm) is int
+    m = RationalMatrix.from_rows([{0: QQ(1, 2)}, {1: QQ(3, 2)}], 2)
+    half = l1_operator_norm(LinearMap(2, 2, m))
+    assert half == QQ(3, 2) and type(half) is QQ
+    assert m.to_dense() == [[QQ(1, 2), 0], [0, QQ(3, 2)]]
+    assert type(m.to_dense()[0][1]) is int
+
+
 def test_l1_norm_submultiplicative(seed=17):
     rng = random.Random(seed)
     for _ in range(25):
@@ -428,6 +438,30 @@ def test_forward_echelon_stops_at_rank_bound(rows, extra):
         assert all(full[c] == row for c, row in part.items())
 
 
+@settings(max_examples=300, deadline=None)
+@given(rows=sparse_int_rows, extra=st.integers(0, 3))
+def test_forward_echelon_trailing_pivots_match_dense_rank(rows, extra):
+    # pivoting each row on its highest column finds the same number of
+    # independent rows as the dense oracle, stops at a bound, and records
+    # independent input rows as its sources
+    width = 1 + max((c for r in rows for c in r), default=0)
+    dense = [[QQ(r.get(c, 0)) for c in range(width)] for r in rows]
+    rank = dense_rank(dense)
+    full = _forward_echelon(rows, lead=max)
+    assert len(full) == rank
+    assert all(max(row) == c for c, row in full.items())
+    for stop in (rank, rank + extra):
+        sources = []
+        assert _forward_echelon(rows, stop_at=stop, sources=sources, lead=max) == full
+        assert len(set(sources)) == len(sources) == rank
+        assert dense_rank([dense[i] for i in sources]) == rank
+    for stop in range(rank):
+        sources = []
+        part = _forward_echelon(rows, stop_at=stop, sources=sources, lead=max)
+        assert len(part) == len(sources) == stop
+        assert dense_rank([dense[i] for i in sources]) == stop
+
+
 # rows with even entries and halves, so that 2-torsion (rank mod 2 below
 # the rank over Q) is common
 mod2_rows = st.lists(st.dictionaries(
@@ -448,6 +482,17 @@ def test_mod2_independent_matches_dense_oracles(rows, limit):
     # independent mod 2, hence independent over Q
     assert dense_rank([dense[i] for i in picked]) == len(picked)
     assert len(picked) == min(limit, dense_rank_mod2(dense))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=mod2_rows.map(lambda rows: [{k: v for k, v in r.items() if v} for r in rows]),
+       limit=st.integers(0, 7))
+def test_mod2_independent_picks_as_on_primitive_forms(rows, limit):
+    # rows are converted lazily, sorted by their raw support; with nonzero
+    # values that is the support of their primitive forms, so the picks
+    # are those made on the converted rows
+    assert _mod2_independent(rows, limit) == \
+        _mod2_independent([_int_row(r) for r in rows], limit)
 
 
 def test_mod2_independent_misses_two_torsion():

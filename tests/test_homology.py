@@ -34,7 +34,7 @@ from moritalab.homology import (
     hochschild_homology,
     vanishing_suite,
 )
-from moritalab import homology
+from moritalab import exactla, homology
 from moritalab.exactla import (
     LinearMap,
     RationalMatrix,
@@ -248,8 +248,8 @@ def _record_engine_calls(monkeypatch):
     gets (rows handed in, stop_at, pivots found) per call."""
     calls = []
 
-    def recording(rows, stop_at=None, sources=None):
-        piv = _forward_echelon(rows, stop_at=stop_at, sources=sources)
+    def recording(rows, stop_at=None, sources=None, **kw):
+        piv = _forward_echelon(rows, stop_at=stop_at, sources=sources, **kw)
         calls.append((len(rows), stop_at, len(piv)))
         return piv
 
@@ -318,6 +318,26 @@ def test_column_selector_hands_only_independent_columns_to_engine(monkeypatch):
     assert cx.certificates[("col", 3)] == "bound"
     assert calls == [(2037, 2037, 2037)]
     assert len(set(cx._col_sources[3])) == 2037
+
+
+def test_chosen_columns_eliminated_on_their_highest_row(monkeypatch):
+    # the 2037 chosen columns of b_3 of regular l1(B(2,C3)) pivot on their
+    # highest row index; on their lowest they took 78,269 combine steps
+    sa = semigroup_algebra(brandt(2, cyclic_group(3)))
+    cx = bar_complex(sa, regular_bimodule(sa), 2)
+    cx.col_rank(2)
+    steps = []
+    combine = exactla._combine
+
+    def counting(r, p, c):
+        steps.append(c)
+        return combine(r, p, c)
+
+    monkeypatch.setattr(exactla, "_combine", counting)
+    assert cx.col_rank(3) == 2037
+    assert cx.certificates[("col", 3)] == "bound"
+    assert len(steps) <= 5000
+    assert all(max(col) == r for r, col in cx.col_pivots(3).items())
 
 
 def test_representatives_accept_fraction_kernel_vectors():
