@@ -239,9 +239,10 @@ def render_report_text(payload: dict) -> str:
 
 
 def _resolve_group(spec: str):
-    if spec in BUILTIN_GROUPS:
-        return builtin_group(spec)
-    return load_cayley(spec)
+    try:
+        return builtin_group(spec) if spec in BUILTIN_GROUPS else load_cayley(spec)
+    except (CayleyTableError, OSError) as exc:
+        raise ConfigError(f"group {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +320,24 @@ def coefficient_battery(algebra, specs, seed):
     return mods
 
 
+def _battery_vanishing(algebra, specs, n_max, size_limit, seed):
+    """vanishing_suite over the coefficient modules named by specs."""
+    if not specs:
+        raise ConfigError("coefficient list is empty")
+    # every battery member has the algebra's dimension; probing before
+    # construction avoids building completions that can never run
+    check_bar_budget(algebra.dim, algebra.dim, n_max, size_limit)
+    mods = coefficient_battery(algebra, specs, seed)
+    return vanishing_suite(algebra, mods, n_max, size_limit)
+
+
 def check_homology(inst: Instance, campaign: Campaign,
                    coeffs=("regular", "dual-regular", "random")) -> CheckResult:
     g = _resolve_group(inst.group)
     algebra = semigroup_algebra(brandt(inst.i, g))
     try:
-        # every battery member has the algebra's dimension; probing before
-        # construction avoids building completions that can never run
-        check_bar_budget(algebra.dim, algebra.dim, campaign.n_max, campaign.size_limit)
-        mods = coefficient_battery(algebra, coeffs, campaign.seed)
-        rep = vanishing_suite(algebra, mods, campaign.n_max, campaign.size_limit)
+        rep = _battery_vanishing(algebra, coeffs, campaign.n_max, campaign.size_limit,
+                                 campaign.seed)
     except SizeLimitError as exc:
         return CheckResult("homology", inst, "skipped", {"reason": str(exc)})
     details = rep.to_dict()
@@ -384,8 +393,6 @@ def run_campaign(campaign: Campaign) -> Report:
         except VerificationFailed as exc:
             res = CheckResult(chk, inst, "fail",
                               {"condition": exc.condition, "reason": str(exc)})
-        except (CayleyTableError, FileNotFoundError) as exc:
-            raise ConfigError(f"group {inst.group!r}: {exc}") from exc
         res.elapsed_s = time.perf_counter() - t0
         return res
 
@@ -451,6 +458,16 @@ def _merged(args, config: dict, key: str, default=None):
     return default
 
 
+def _typed(args, config: dict, key: str, default, kind):
+    # exact type: bool is an int subclass, and int() or bool() would
+    # silently coerce config values such as 1.5 or "no"
+    val = _merged(args, config, key, default)
+    if type(val) is not kind:
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'true or false'}, "
+                          f"got {val!r}")
+    return val
+
+
 def build_campaign(args) -> Campaign:
     config = _load_config(args.config) if getattr(args, "config", None) else {}
     i_raw = _merged(args, config, "i")
@@ -478,11 +495,11 @@ def build_campaign(args) -> Campaign:
     return Campaign(
         instances=instances,
         checks=checks,
-        n_max=int(_merged(args, config, "n", 2)),
-        size_limit=int(_merged(args, config, "size_limit", DEFAULT_SIZE_LIMIT)),
-        seed=int(_merged(args, config, "seed", 0)),
-        jobs=int(_merged(args, config, "jobs", 1)),
-        strict=bool(_merged(args, config, "strict", False)),
+        n_max=_typed(args, config, "n", 2, int),
+        size_limit=_typed(args, config, "size_limit", DEFAULT_SIZE_LIMIT, int),
+        seed=_typed(args, config, "seed", 0, int),
+        jobs=_typed(args, config, "jobs", 1, int),
+        strict=_typed(args, config, "strict", False, bool),
     )
 
 
@@ -525,13 +542,8 @@ def cmd_homology(args) -> int:
         g = _resolve_group(args.group)
         coeffs = [tok.strip() for tok in args.coeffs.split(",") if tok.strip()]
         algebra = semigroup_algebra(brandt(args.i, g))
-        check_bar_budget(algebra.dim, algebra.dim, args.n, args.size_limit)
-        mods = coefficient_battery(algebra, coeffs, args.seed)
-        rep = vanishing_suite(algebra, mods, args.n, args.size_limit)
+        rep = _battery_vanishing(algebra, coeffs, args.n, args.size_limit, args.seed)
     except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except CayleyTableError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except SizeLimitError as exc:

@@ -1,12 +1,20 @@
 """Hochschild homology and cohomology via the full bar complex.
 
 The chain space in degree n is the coefficient module tensored with n
-copies of the algebra; the boundary folds the first tensor leg into the
-module on the right, the last leg into the module on the left, and
-multiplies adjacent legs with alternating signs. Cohomology with dual
-coefficients is the transpose complex, computed by an independent
-elimination so the finite-dimensional duality betti(H^n) = betti(H_n)
-acts as a built-in cross-check rather than an assumption.
+copies of the algebra. Its basis element x (x) a_1 (x) ... (x) a_n sits at
+the index whose base-d digits (d = dim A) are a_1 .. a_n below x. Each
+face of the boundary finds its target row by divmod: x.a_1 keeps the low
+n-1 digits, a_i a_{i+1} is spliced between the prefix x a_1 .. a_{i-1}
+and the suffix a_{i+2} .. a_n, and a_n.x keeps the middle digits
+a_1 .. a_{n-1}. The faces alternate in sign.
+
+Homology and cohomology with dual coefficients mirror each other. H_n
+takes its cycles from the kernel of b_n and its boundaries from the
+column echelon of b_{n+1}; H^n takes its cocycles from the kernel of
+b_{n+1}T and its coboundaries from the row echelon of b_n. The row path
+eliminates independently of the column path, so the finite-dimensional
+duality betti(H^n) = betti(H_n) is a built-in cross-check rather than an
+assumption.
 
 Ranks are certified by two bounds that must meet. The pivots found so
 far are independent, so their count is a lower bound on rank b_n. Since
@@ -57,7 +65,6 @@ sum_p L_p (row p of M) = the unit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .exactla import (
@@ -132,8 +139,7 @@ class ChainComplex:
                 raise RuntimeError(f"boundary composite b_{k + 1} b_{k + 2} is nonzero")
 
     def boundary(self, n: int) -> LinearMap:
-        """b_n: C_n -> C_{n-1}; the zero map to a point for n = 0 and for
-        degrees beyond the computed range of interest."""
+        """b_n: C_n -> C_{n-1}, stored for n = 1 .. top."""
         if 1 <= n <= len(self.boundaries):
             return self.boundaries[n - 1]
         raise IndexError(f"boundary b_{n} not stored (have 1..{len(self.boundaries)})")
@@ -251,65 +257,42 @@ def bar_complex(a: StructureAlgebra, e: Bimodule, n_max: int,
     left_cols = [m._columns() for m in e.left_action]
     struct = a.structure
     da = a.dim
+    pw = [da ** k for k in range(top + 2)]
+
+    def face(acc, vec, scale, offset, sign):
+        # add sign * vec, its entry r landing on target index r * scale + offset
+        for r, v in vec.items():
+            idx = r * scale + offset
+            y = acc.get(idx, 0) + sign * v
+            if y:
+                acc[idx] = y
+            elif idx in acc:
+                del acc[idx]
 
     boundaries = []
     for n in range(1, top + 1):
-        src_dim = dims[n]
-        tgt_dim = dims[n - 1]
-        mat = RationalMatrix(tgt_dim, src_dim)
+        mat = RationalMatrix(dims[n - 1], dims[n])
         rows = mat._rows
-        for col, key in enumerate(itertools.product(range(e.dim), *([range(da)] * n))):
-            x = key[0]
-            legs = key[1:]
+        base = pw[n - 1]
+        for col in range(dims[n]):
+            x, legs = divmod(col, pw[n])
             acc: dict = {}
-            # fold the first leg into the module from the right
-            tail = 0
-            for t in legs[1:]:
-                tail = tail * da + t
-            base = da ** (n - 1)
-            for r, v in right_cols[legs[0]][x].items():
-                idx = r * base + tail
-                y = acc.get(idx, 0) + v
-                if y:
-                    acc[idx] = y
-                elif idx in acc:
-                    del acc[idx]
-            # multiply adjacent legs
-            sign = 1
-            for i in range(n - 1):
-                sign = -sign
-                prod = struct.get((legs[i], legs[i + 1]))
+            # x.a_1 keeps the low n-1 digits a_2 .. a_n
+            first, low = divmod(legs, base)
+            face(acc, right_cols[first][x], base, low, 1)
+            # a_i a_{i+1} is spliced between x a_1 .. a_{i-1} and a_{i+2} .. a_n
+            for i in range(1, n):
+                shift = pw[n - i - 1]
+                head, rest = divmod(col, shift * da * da)
+                prod = struct.get(divmod(rest // shift, da))
                 if prod:
-                    head = 0
-                    for t in legs[:i]:
-                        head = head * da + t
-                    rest = 0
-                    for t in legs[i + 2:]:
-                        rest = rest * da + t
-                    shift = da ** (n - 2 - i)
-                    lead = (x * (da ** i) + head) * da
-                    for s, v in prod.items():
-                        idx = (lead + s) * shift + rest
-                        y = acc.get(idx, 0) + sign * v
-                        if y:
-                            acc[idx] = y
-                        elif idx in acc:
-                            del acc[idx]
-            # fold the last leg into the module from the left
-            sign = -sign
-            head = 0
-            for t in legs[:-1]:
-                head = head * da + t
-            for r, v in left_cols[legs[-1]][x].items():
-                idx = r * base + head
-                y = acc.get(idx, 0) + sign * v
-                if y:
-                    acc[idx] = y
-                elif idx in acc:
-                    del acc[idx]
+                    face(acc, prod, shift, head * da * shift + rest % shift, -1 if i % 2 else 1)
+            # a_n.x keeps the middle digits a_1 .. a_{n-1}
+            middle, last = divmod(legs, da)
+            face(acc, left_cols[last][x], base, middle, -1 if n % 2 else 1)
             for idx, v in acc.items():
                 rows[idx][col] = v
-        boundaries.append(LinearMap(src_dim, tgt_dim, mat))
+        boundaries.append(LinearMap(dims[n], dims[n - 1], mat))
     return ChainComplex(a, e, dims, boundaries)
 
 
@@ -338,56 +321,56 @@ def _representatives(kernel_vectors, boundary_pivots: dict, want: int) -> list:
     return reps
 
 
+def _hochschild(cx: ChainComplex, n: int, path: str) -> HomologyResult:
+    """H_n (path "col") or H^n with dual coefficients (path "row") by the
+    module's mirror rule; representatives are (co)cycles independent modulo
+    the (co)boundary image. The row path's betti must equal the column
+    path's, taken from the cached ranks; a mismatch is an internal defect.
+    """
+    def rank(p, m):
+        if m == 0:  # b_0 is the zero map to a point
+            return 0
+        return cx.col_rank(m) if p == "col" else cx.row_rank(m)
+
+    ker, im = (n, n + 1) if path == "col" else (n + 1, n)
+    cycle_rank = cx.spaces[n] - rank(path, ker)
+    boundary_rank = rank(path, im)
+    betti = cycle_rank - boundary_rank
+    if path == "row":
+        homology = cx.spaces[n] - rank("col", n) - rank("col", n + 1)
+        if betti != homology:
+            raise RuntimeError(
+                f"duality cross-check failed in degree {n}: "
+                f"cohomology betti {betti} vs homology betti {homology}"
+            )
+    reps = []
+    if betti:
+        b = cx.boundary(ker) if ker else LinearMap.zero(cx.spaces[0], 0)
+        if path == "row":
+            b = LinearMap(b.target_dim, b.source_dim, b.matrix.transpose())
+        pivots = cx.exhaustive_pivots(path, im) if im else {}
+        reps = _representatives(_kernel_vectors(b), pivots, betti)
+        if len(reps) != betti:
+            raise RuntimeError(f"{path} path: representative count disagrees with rank arithmetic")
+    return HomologyResult(degree=n, betti=betti, cycle_reps=reps,
+                          boundary_rank=boundary_rank, cycle_rank=cycle_rank)
+
+
 def hochschild_homology(a: StructureAlgebra, e: Bimodule, n: int,
                         size_limit: int = DEFAULT_SIZE_LIMIT,
                         complex: ChainComplex | None = None) -> HomologyResult:
     """H_n as exact ranks of the bar boundaries; representatives are kernel
     vectors independent modulo the boundary image."""
-    cx = complex if complex is not None else bar_complex(a, e, n, size_limit)
-    cycle_rank = cx.spaces[n] - (cx.col_rank(n) if n >= 1 else 0)
-    boundary_rank = cx.col_rank(n + 1)
-    betti = cycle_rank - boundary_rank
-    reps = []
-    if betti:
-        cycles = _kernel_vectors(cx.boundary(n)) if n >= 1 else \
-            ({i: 1} for i in range(cx.spaces[0]))
-        reps = _representatives(cycles, cx.exhaustive_pivots("col", n + 1), betti)
-    if betti and len(reps) != betti:
-        raise RuntimeError("representative count disagrees with rank arithmetic")
-    return HomologyResult(degree=n, betti=betti, cycle_reps=reps,
-                          boundary_rank=boundary_rank, cycle_rank=cycle_rank)
+    return _hochschild(complex or bar_complex(a, e, n, size_limit), n, "col")
 
 
 def hochschild_cohomology(a: StructureAlgebra, e: Bimodule, n: int,
                           size_limit: int = DEFAULT_SIZE_LIMIT,
                           complex: ChainComplex | None = None) -> HomologyResult:
-    """H^n with coefficients in the dual of e, as the transpose complex.
-
-    Ranks come from an elimination independent of the homology path, and
-    the result is cross-checked against betti(H_n): at finite dimension
-    the two must agree, so a mismatch means an internal defect.
-    """
-    cx = complex if complex is not None else bar_complex(a, e, n, size_limit)
-    cocycle_rank = cx.spaces[n] - cx.row_rank(n + 1)
-    coboundary_rank = cx.row_rank(n) if n >= 1 else 0
-    betti = cocycle_rank - coboundary_rank
-    homology = hochschild_homology(a, e, n, size_limit, complex=cx)
-    if betti != homology.betti:
-        raise RuntimeError(
-            f"duality cross-check failed in degree {n}: "
-            f"cohomology betti {betti} vs homology betti {homology.betti}"
-        )
-    reps = []
-    if betti:
-        coboundary_pivots = cx.exhaustive_pivots("row", n) if n >= 1 else {}
-        transpose = LinearMap(
-            cx.spaces[n], cx.spaces[n + 1], cx.boundary(n + 1).matrix.transpose()
-        )
-        reps = _representatives(_kernel_vectors(transpose), coboundary_pivots, betti)
-        if len(reps) != betti:
-            raise RuntimeError("cocycle representative count disagrees with rank arithmetic")
-    return HomologyResult(degree=n, betti=betti, cycle_reps=reps,
-                          boundary_rank=coboundary_rank, cycle_rank=cocycle_rank)
+    """H^n with coefficients in the dual of e, as the transpose complex,
+    by an elimination independent of the homology path; its betti is
+    cross-checked against betti(H_n)."""
+    return _hochschild(complex or bar_complex(a, e, n, size_limit), n, "row")
 
 
 @dataclass

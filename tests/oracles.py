@@ -4,6 +4,7 @@ Dense textbook Gaussian elimination over Fractions, written with no code
 shared with the package; the point is a second opinion, not speed.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -462,3 +463,34 @@ def inner_columns(a, e):
                 col[p * de + t] = col.get(p * de + t, 0) - v
         out.append({k: v for k, v in col.items() if v})
     return out
+
+
+# The bar complex built face by face from the definition: the reference
+# for the digit-arithmetic build in moritalab.homology.
+
+
+def bar_boundary(a, e, n):
+    """Columns of the bar boundary b_n: C_n -> C_{n-1},
+    x (x) a_1 .. a_n -> x.a_1 (x) a_2 .. a_n
+                        + sum_i (-1)^i x (x) a_1 .. a_i a_{i+1} .. a_n
+                        + (-1)^n a_n.x (x) a_1 .. a_{n-1},
+    with the basis of C_k listed as the tuples (x, a_1, .., a_k) of
+    itertools.product, in its order."""
+    def basis(k):
+        return itertools.product(range(e.dim), *[range(a.dim)] * k)
+
+    index = {key: t for t, key in enumerate(basis(n - 1))}
+    right = [_cols(m) for m in e.right_action]
+    left = [_cols(m) for m in e.left_action]
+    cols = []
+    for x, *legs in basis(n):
+        out = {}
+        faces = [((r, *legs[1:]), v) for r, v in right[legs[0]][x].items()]
+        for i in range(n - 1):
+            for s, v in a.structure.get((legs[i], legs[i + 1]), {}).items():
+                faces.append(((x, *legs[:i], s, *legs[i + 2:]), (-1) ** (i + 1) * v))
+        faces.extend(((r, *legs[:-1]), (-1) ** n * v) for r, v in left[legs[-1]][x].items())
+        for key, v in faces:
+            out[index[key]] = out.get(index[key], 0) + v
+        cols.append({t: v for t, v in out.items() if v})
+    return cols

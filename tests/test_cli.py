@@ -103,6 +103,34 @@ def test_verify_rejects_bad_jobs_from_config(tmp_path, capsys):
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    {"n": "abc"}, {"n": True}, {"size_limit": 1e6}, {"seed": 1.5}, {"jobs": "2"},
+    {"strict": "no"}, {"strict": 1},
+], ids=["n-text", "n-bool", "size_limit-float", "seed-float", "jobs-text", "strict-text",
+        "strict-int"])
+def test_verify_rejects_mistyped_config_values(tmp_path, capsys, config):
+    cfg = tmp_path / "campaign.json"
+    out = tmp_path / "r.json"
+    cfg.write_text(json.dumps({"i": "1", "check": "lemma1", **config}))
+    code = main(["verify", "--config", str(cfg), "--out", str(out)])
+    key = next(iter(config))
+    assert code == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_takes_typed_config_values(tmp_path, capsys):
+    cfg = tmp_path / "campaign.json"
+    out = tmp_path / "r.json"
+    cfg.write_text(json.dumps({"i": "1,2", "check": "lemma1", "n": 1, "size_limit": 1000,
+                               "seed": 7, "jobs": 1, "strict": True}))
+    code = main(["verify", "--config", str(cfg), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    campaign = json.loads(out.read_text())["campaign"]
+    assert (campaign["n_max"], campaign["size_limit"], campaign["seed"]) == (1, 1000, 7)
+
+
 def test_group_builtin(capsys):
     code = main(["group", "builtin", "S3"])
     out = capsys.readouterr().out
@@ -141,6 +169,15 @@ def test_homology_size_limit_exit_three(capsys):
     code = main(["homology", "--i", "2", "--group", "S3", "--n", "3"])
     assert code == 3
     assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs", ["", ","])
+def test_homology_rejects_empty_coefficient_list(capsys, coeffs):
+    code = main(["homology", "--i", "1", "--coeffs", coeffs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "coefficient list is empty" in captured.err
+    assert captured.out == ""
 
 
 def test_homology_with_dual_coefficients(capsys):
@@ -301,6 +338,12 @@ def test_missing_group_file_is_config_error(capsys):
                  "--group", "/nonexistent/file.cayley"])
     assert code == 2
     assert "group" in capsys.readouterr().err
+
+
+def test_homology_missing_group_file_is_config_error(capsys):
+    code = main(["homology", "--i", "1", "--group", "/nonexistent/file.cayley"])
+    assert code == 2
+    assert "group '/nonexistent/file.cayley'" in capsys.readouterr().err
 
 
 def test_cli_subprocess_smoke(child_env):

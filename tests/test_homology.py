@@ -46,6 +46,7 @@ from moritalab.exactla import (
 )
 
 from oracles import (
+    bar_boundary,
     dense_rank,
     diagonal_defects,
     diagonal_system,
@@ -95,6 +96,24 @@ def test_bar_degree_one_is_commutator_map():
                 elif r in expected:
                     del expected[r]
             assert b1.col(x * 4 + a) == expected
+
+
+def test_bar_boundaries_match_face_by_face_oracle():
+    b1c2 = semigroup_algebra(brandt(1, cyclic_group(2)))
+    reg = regular_bimodule(b1c2)
+    raw = seeded_random_bimodule(b1c2, 3)
+    # the raw random module is not monomial: some action column has two entries
+    assert any(len(m.col(c)) > 1 for m in raw.left_action + raw.right_action
+               for c in range(raw.dim))
+    m2, dual = matrix_algebra(2), dual_numbers()
+    cases = [(b1c2, reg), (b1c2, raw), (b1c2, induced_completion(b1c2, dual_bimodule(reg))),
+             (m2, regular_bimodule(m2)), (dual, regular_bimodule(dual))]
+    for a, e in cases:
+        cx = bar_complex(a, e, 2)
+        for n in (1, 2, 3):
+            b = cx.boundary(n)
+            assert [b.col(c) for c in range(b.source_dim)] == bar_boundary(a, e, n), \
+                (a.name, e.name, n)
 
 
 def test_bar_size_limit_total_entry_count():
@@ -370,7 +389,7 @@ def test_h1_cohomology_brandt_one_c2_dual_regular():
 
 
 def test_duality_cross_check_runs_on_every_degree():
-    # the cohomology path recomputes homology internally and must agree
+    # the cohomology path compares its betti with the column path's ranks
     m2 = matrix_algebra(2)
     reg = regular_bimodule(m2)
     cx = bar_complex(m2, reg, 2)
@@ -378,6 +397,33 @@ def test_duality_cross_check_runs_on_every_degree():
         h = hochschild_homology(m2, reg, n, complex=cx)
         c = hochschild_cohomology(m2, reg, n, complex=cx)
         assert h.betti == c.betti
+
+
+def test_duality_cross_check_fires_on_a_wrong_row_rank(monkeypatch):
+    m2 = matrix_algebra(2)
+    reg = regular_bimodule(m2)
+    cx = bar_complex(m2, reg, 1)
+    true_rank = ChainComplex.row_rank
+    monkeypatch.setattr(ChainComplex, "row_rank", lambda self, n: true_rank(self, n) - (n == 2))
+    with pytest.raises(RuntimeError, match="duality cross-check failed in degree 1"):
+        hochschild_cohomology(m2, reg, 1, complex=cx)
+
+
+def test_cohomology_builds_no_homology_representatives(monkeypatch):
+    dual = dual_numbers()
+    reg = regular_bimodule(dual)
+    cx = bar_complex(dual, reg, 1)
+    homology_calls, kernel_calls = [], []
+    monkeypatch.setattr(homology, "hochschild_homology",
+                        lambda *args, **kw: homology_calls.append(args))
+    true_kernel = homology._kernel_vectors
+    monkeypatch.setattr(homology, "_kernel_vectors",
+                        lambda f: kernel_calls.append(f) or true_kernel(f))
+    c = hochschild_cohomology(dual, reg, 1, complex=cx)
+    assert c.betti > 0 and len(c.cycle_reps) == c.betti
+    assert homology_calls == [] and len(kernel_calls) == 1
+    h = homology._hochschild(cx, 1, "col")
+    assert h.betti == c.betti and len(kernel_calls) == 2
 
 
 def test_cohomology_representatives_are_cocycles():
