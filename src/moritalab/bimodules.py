@@ -87,7 +87,9 @@ from .exactla import (
     quotient,
     vec_sub,
 )
-from .structures import StructureAlgebra, matrix_algebra, scalar_algebra
+from .structures import (
+    FiniteGroup, StructureAlgebra, brandt_products, cyclic_group, matrix_algebra, scalar_algebra,
+)
 
 
 class BimoduleAxiomError(ValueError):
@@ -278,52 +280,51 @@ def regular_bimodule(a: StructureAlgebra) -> Bimodule:
     return mod
 
 
-def _matrix_row_action(n: int) -> list[RationalMatrix]:
-    """Right action of the matrix-units algebra on the index space:
-    (b . a)(i) = sum_k b(k) a(k, i)."""
-    out = []
-    for k in range(n):
-        for i in range(n):
-            m = RationalMatrix(n, n)
-            m._rows[i][k] = 1
-            out.append(m)
-    return out
+def _rect_actions(left_n: int, right_n: int, g: FiniteGroup):
+    """Left and right action matrices of the contracted triple algebras on
+    the left_n x G x right_n rectangle, by the Brandt product: the left
+    algebra glues onto the left index, the right one onto the right."""
+    dim = left_n * g.order * right_n
+    left = [RationalMatrix(dim, dim) for _ in range(left_n * g.order * left_n)]
+    for x, y, z in brandt_products(left_n, left_n, right_n, g):
+        left[x]._rows[z][y] = 1
+    right = [RationalMatrix(dim, dim) for _ in range(right_n * g.order * right_n)]
+    for x, y, z in brandt_products(left_n, right_n, right_n, g):
+        right[y]._rows[z][x] = 1
+    return left, right
 
 
-def _matrix_col_action(n: int) -> list[RationalMatrix]:
-    """Left action of the matrix-units algebra on the index space:
-    (a . b)(i) = sum_k a(i, k) b(k)."""
-    out = []
-    for i in range(n):
-        for k in range(n):
-            m = RationalMatrix(n, n)
-            m._rows[i][k] = 1
-            out.append(m)
-    return out
-
-
-def _scalar_action(dim: int) -> list[RationalMatrix]:
-    return [RationalMatrix.identity(dim)]
+def _rect_pairing(left_n: int, mid_n: int, right_n: int, g: FiniteGroup) -> LinearMap:
+    """Convolution pairing (l,g,m) (x) (m',h,r) -> [m=m'] (l,gh,r), from the
+    tensor of the (left_n, mid_n) and (mid_n, right_n) rectangles into the
+    (left_n, right_n) rectangle."""
+    pdim = left_n * g.order * mid_n
+    qdim = mid_n * g.order * right_n
+    tdim = left_n * g.order * right_n
+    m = RationalMatrix(tdim, pdim * qdim)
+    for x, y, z in brandt_products(left_n, mid_n, right_n, g):
+        m._rows[z][x * qdim + y] = 1
+    return LinearMap(pdim * qdim, tdim, m)
 
 
 def row_module(index_size: int) -> Bimodule:
-    """The index space as a (scalars, matrix-units) bimodule."""
+    """The index space as a (scalars, matrix-units) bimodule: the 1 x n
+    rectangle over the trivial group."""
     n = index_size
     labels = [f"d{i}" for i in range(1, n + 1)]
     return Bimodule(
-        scalar_algebra(), matrix_algebra(n), n,
-        _scalar_action(n), _matrix_row_action(n),
+        scalar_algebra(), matrix_algebra(n), n, *_rect_actions(1, n, cyclic_group(1)),
         labels=labels, name=f"row l1({n})",
     )
 
 
 def column_module(index_size: int) -> Bimodule:
-    """The index space as a (matrix-units, scalars) bimodule."""
+    """The index space as a (matrix-units, scalars) bimodule: the n x 1
+    rectangle over the trivial group."""
     n = index_size
     labels = [f"d{i}" for i in range(1, n + 1)]
     return Bimodule(
-        matrix_algebra(n), scalar_algebra(), n,
-        _matrix_col_action(n), _scalar_action(n),
+        matrix_algebra(n), scalar_algebra(), n, *_rect_actions(n, 1, cyclic_group(1)),
         labels=labels, name=f"col l1({n})",
     )
 
@@ -345,11 +346,7 @@ def index_space_induced(index_size: int) -> InducedFlags:
 def trace_pairing(index_size: int) -> LinearMap:
     """The pairing (a, b) -> sum_i a(i) b(i) as a map on the tensor square
     of the index space (lexicographic pair basis) into the scalars."""
-    n = index_size
-    m = RationalMatrix(1, n * n)
-    for i in range(n):
-        m._rows[0][i * n + i] = 1
-    return LinearMap(n * n, 1, m)
+    return _rect_pairing(1, index_size, 1, cyclic_group(1))
 
 
 def _outer_action(e: Bimodule, f: Bimodule, side: str, p: int) -> RationalMatrix:

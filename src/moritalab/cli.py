@@ -441,7 +441,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config must be a flat JSON object")
@@ -566,13 +566,17 @@ def cmd_report(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 2
     for key in ("schema_version", "tool_version", "campaign", "results", "digest"):
         if key not in payload:
             print(f"malformed report: missing field {key!r}", file=sys.stderr)
             return 2
+    results = payload["results"]
+    if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
+        print("malformed report: results must be a list of objects", file=sys.stderr)
+        return 2
     text = render_report_text(payload) if args.format == "text" \
         else render_report_json(payload)
     sys.stdout.write(text)

@@ -59,6 +59,10 @@ def vec_scale(v: dict, c) -> dict:
     return {k: c * x for k, x in v.items()}
 
 
+def _out_of_bounds(r: int, c: int, m: "RationalMatrix") -> IndexError:
+    return IndexError(f"entry ({r},{c}) out of bounds {m.rows}x{m.cols}")
+
+
 class RationalMatrix:
     """Sparse matrix with exact rational entries; zeros are never stored."""
 
@@ -75,7 +79,7 @@ class RationalMatrix:
                 v = nrat(v)
                 if v:
                     if not (0 <= r < rows and 0 <= c < cols):
-                        raise IndexError(f"entry ({r},{c}) out of bounds {rows}x{cols}")
+                        raise _out_of_bounds(r, c, self)
                     self._rows[r][c] = v
 
     @classmethod
@@ -85,6 +89,8 @@ class RationalMatrix:
             for c, v in row.items():
                 v = nrat(v)
                 if v:
+                    if not 0 <= c < cols:
+                        raise _out_of_bounds(r, c, m)
                     m._rows[r][c] = v
         return m
 
@@ -95,6 +101,8 @@ class RationalMatrix:
             for r, v in col.items():
                 v = nrat(v)
                 if v:
+                    if not 0 <= r < rows:
+                        raise _out_of_bounds(r, c, m)
                     m._rows[r][c] = v
         return m
 

@@ -26,6 +26,8 @@ from .bimodules import (
     Bimodule,
     BimoduleMap,
     _extend_block,
+    _rect_actions,
+    _rect_pairing,
     balanced_tensor,
     column_module,
     induced_map,
@@ -40,6 +42,7 @@ from .structures import (
     StructureAlgebra,
     brandt,
     contracted_brandt_algebra,
+    cyclic_group,
     direct_sum,
     matrix_algebra,
     scalar_algebra,
@@ -209,9 +212,7 @@ def witness_matrix_vs_scalars(index_size: int) -> MoritaWitness:
     bt_pq = balanced_tensor(p, q, a)
     iso_pq = induced_map(bt_pq, trace_pairing(n), regular_bimodule(b))
     bt_qp = balanced_tensor(q, p, b)
-    unit_cols = [{i * n + j: 1} for i in range(n) for j in range(n)]
-    raw_qp = LinearMap.from_cols(unit_cols, n * n)
-    iso_qp = induced_map(bt_qp, raw_qp, regular_bimodule(a))
+    iso_qp = induced_map(bt_qp, _rect_pairing(n, 1, n, cyclic_group(1)), regular_bimodule(a))
     return _certify(MoritaWitness(a, b, p, q, iso_pq, iso_qp))
 
 
@@ -345,66 +346,17 @@ def split_sequence(index_size: int, g: FiniteGroup) -> SplitSequence:
 def _rect_module(left_n: int, right_n: int, g: FiniteGroup,
                  left_alg: StructureAlgebra, right_alg: StructureAlgebra) -> Bimodule:
     """Triples (l, g, r) with convolution actions of the two contracted
-    algebras: the left algebra glues onto the left index, the right one
-    onto the right index."""
-    og = g.order
-    dim = left_n * og * right_n
-
-    def idx(l, gi, r):
-        return ((l - 1) * og + gi) * right_n + (r - 1)
-
-    sl = BrandtSemigroup(left_n, g)
-    sr = BrandtSemigroup(right_n, g)
-    left_action = []
-    for l1 in range(1, left_n + 1):
-        for hi in range(og):
-            for l2 in range(1, left_n + 1):
-                m = RationalMatrix(dim, dim)
-                for gi in range(og):
-                    for r in range(1, right_n + 1):
-                        m._rows[idx(l1, g.mul(hi, gi), r)][idx(l2, gi, r)] = 1
-                left_action.append(m)
-    right_action = []
-    for r1 in range(1, right_n + 1):
-        for hi in range(og):
-            for r2 in range(1, right_n + 1):
-                m = RationalMatrix(dim, dim)
-                for gi in range(og):
-                    for l in range(1, left_n + 1):
-                        m._rows[idx(l, g.mul(gi, hi), r2)][idx(l, gi, r1)] = 1
-                right_action.append(m)
+    algebras (bimodules._rect_actions)."""
     labels = [
         f"({l},{g.names[gi]},{r})"
-        for l in range(1, left_n + 1) for gi in range(og) for r in range(1, right_n + 1)
+        for l in range(1, left_n + 1) for gi in range(g.order) for r in range(1, right_n + 1)
     ]
-    assert left_alg.dim == left_n * og * left_n and right_alg.dim == right_n * og * right_n
+    assert left_alg.dim == left_n * g.order * left_n
+    assert right_alg.dim == right_n * g.order * right_n
     return Bimodule(
-        left_alg, right_alg, dim, left_action, right_action,
+        left_alg, right_alg, len(labels), *_rect_actions(left_n, right_n, g),
         labels=labels, name=f"span({left_n}x{g.name}x{right_n})",
     )
-
-
-def _rect_pairing(left_n: int, mid_n: int, right_n: int, g: FiniteGroup) -> LinearMap:
-    """Convolution pairing (l,g,m) (x) (m',h,r) -> [m=m'] (l,gh,r), from the
-    tensor of two rectangle modules into the (left_n, right_n) rectangle."""
-    og = g.order
-
-    def idx(a, gi, b, nb):
-        return ((a - 1) * og + gi) * nb + (b - 1)
-
-    src = (left_n * og * mid_n) * (mid_n * og * right_n)
-    tgt_dim = left_n * og * right_n
-    m = RationalMatrix(tgt_dim, src)
-    qdim = mid_n * og * right_n
-    for l in range(1, left_n + 1):
-        for gi in range(og):
-            for mid in range(1, mid_n + 1):
-                pcol = idx(l, gi, mid, mid_n)
-                for hi in range(og):
-                    for r in range(1, right_n + 1):
-                        qcol = idx(mid, hi, r, right_n)
-                        m._rows[idx(l, g.mul(gi, hi), r, right_n)][pcol * qdim + qcol] = 1
-    return LinearMap(src, tgt_dim, m)
 
 
 def witness_brandt_contracted(i_size: int, j_size: int, g: FiniteGroup) -> MoritaWitness:

@@ -1,10 +1,17 @@
 """Finite groups, Brandt semigroups, and structure-constant algebras.
 
-Groups are ingested as Cayley tables only. Every algebra built here is a
-finite-dimensional associative algebra with a labeled basis and a sparse
-table of structure constants; associativity is verified exactly at
-construction, whatever the dimension, since the constructors are the
-trust root for everything checked downstream.
+Groups are ingested as Cayley tables only. Every matrix-unit and triple
+object rests on one rule, the Brandt product of rectangles:
+(i,a,k)(k,b,j) = (i,ab,j), and triples whose inner indices differ have
+no product. An I x G x J rectangle lists its triples lexicographically,
+(i,a,j) at ((i-1)|G| + a)|J| + (j-1); matrix units are the case |G| = 1.
+brandt_products enumerates the rule once; the algebras here and the
+rectangle modules and pairings of bimodules are built from it.
+
+Every algebra built here is finite-dimensional and associative, with a
+labeled basis and a sparse table of structure constants; associativity
+is verified exactly at construction, whatever the dimension, since the
+constructors are the trust root for everything checked downstream.
 
 The certificate is a generator derivation (computed on first use and
 cached): a set S of basis elements and ordered steps t <- (s, u) with
@@ -39,7 +46,7 @@ bimodules).
 from __future__ import annotations
 
 import itertools
-
+import os
 from dataclasses import dataclass
 
 from .exactla import (
@@ -227,7 +234,7 @@ def parse_cayley(text: str, name="G") -> FiniteGroup:
     if pos >= len(lines):
         fail(1, 1, "missing 'order n' header")
     head = lines[pos].split()
-    if len(head) != 2 or head[0] != "order" or not head[1].isdigit():
+    if len(head) != 2 or head[0] != "order" or not _is_index(head[1]):
         fail(pos + 1, 1, f"expected 'order n', got {lines[pos]!r}")
     n = int(head[1])
     if n < 1:
@@ -244,7 +251,7 @@ def parse_cayley(text: str, name="G") -> FiniteGroup:
             fail(pos + 1, 1, f"expected {n} entries, got {len(parts)}")
         row = []
         for c, tok in enumerate(parts):
-            if not tok.isdigit():
+            if not _is_index(tok):
                 fail(pos + 1, c + 1, f"entry {tok!r} is not a 0-based index")
             v = int(tok)
             if v >= n:
@@ -256,7 +263,7 @@ def parse_cayley(text: str, name="G") -> FiniteGroup:
     while pos < len(lines):
         if lines[pos].strip():
             parts = lines[pos].split()
-            if len(parts) == 2 and parts[0] == "identity" and parts[1].isdigit():
+            if len(parts) == 2 and parts[0] == "identity" and _is_index(parts[1]):
                 declared_identity = int(parts[1])
             else:
                 fail(pos + 1, 1, f"unexpected trailing content {lines[pos]!r}")
@@ -269,11 +276,17 @@ def parse_cayley(text: str, name="G") -> FiniteGroup:
     return g
 
 
-def load_cayley(path, name=None) -> FiniteGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    import os
+def _is_index(tok: str) -> bool:
+    """ASCII digits only: str.isdigit also takes superscripts such as ²."""
+    return tok.isascii() and tok.isdigit()
 
+
+def load_cayley(path, name=None) -> FiniteGroup:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CayleyTableError(f"not a UTF-8 text file: {exc}") from exc
     return parse_cayley(text, name=name or os.path.splitext(os.path.basename(path))[0])
 
 
@@ -337,6 +350,23 @@ class BrandtSemigroup:
 
 def brandt(index_size: int, g: FiniteGroup) -> BrandtSemigroup:
     return BrandtSemigroup(index_size, g)
+
+
+def brandt_products(left_n: int, mid_n: int, right_n: int, g: FiniteGroup):
+    """Yield (x, y, z) for every product x y = z of a triple x of the
+    left_n x G x mid_n rectangle with a triple y of the mid_n x G x right_n
+    rectangle, each indexed as BrandtSemigroup.triple_index lays out
+    triples, in loop order i, a, k, b, j of (i,a,k)(k,b,j) = (i,ab,j)."""
+    og, cayley = g.order, g.cayley
+    for i in range(left_n):
+        for a in range(og):
+            for k in range(mid_n):
+                x = (i * og + a) * mid_n + k
+                for b in range(og):
+                    y = (k * og + b) * right_n
+                    z = (i * og + cayley[a][b]) * right_n
+                    for j in range(right_n):
+                        yield x, y + j, z + j
 
 
 class StructureAlgebra:
@@ -639,16 +669,13 @@ def scalar_algebra() -> StructureAlgebra:
 
 
 def matrix_algebra(index_size: int) -> StructureAlgebra:
-    """Matrix units e_(i,p) e_(q,j) = [p=q] e_(i,j) on basis I x I (1-based)."""
+    """Matrix units e_(i,p) e_(q,j) = [p=q] e_(i,j) on basis I x I (1-based):
+    the Brandt product over the trivial group."""
     n = index_size
     if n < 1:
         raise ValueError("index size must be >= 1")
     labels = [f"({i},{j})" for i in range(1, n + 1) for j in range(1, n + 1)]
-    structure = {}
-    for i in range(n):
-        for p in range(n):
-            for j in range(n):
-                structure[(i * n + p, p * n + j)] = {i * n + j: 1}
+    structure = {(x, y): {z: 1} for x, y, z in brandt_products(n, n, n, cyclic_group(1))}
     unit = {i * n + i: 1 for i in range(n)}
     return StructureAlgebra(n * n, labels, structure, unit=unit, name=f"M{n}")
 
@@ -670,18 +697,10 @@ def contracted_brandt_algebra(index_size: int, g: FiniteGroup) -> StructureAlgeb
     """Convolution algebra on the triples alone: products that would fall on
     the semigroup zero are identified with the zero vector."""
     s = BrandtSemigroup(index_size, g)
-    n, og = index_size, g.order
-    dim = n * n * og
+    n = index_size
+    dim = n * n * g.order
     labels = [s.label(k) for k in range(dim)]
-    structure = {}
-    for i in range(1, n + 1):
-        for gi in range(og):
-            for k in range(1, n + 1):
-                p = s.triple_index(i, gi, k)
-                for hi in range(og):
-                    for j in range(1, n + 1):
-                        q = s.triple_index(k, hi, j)
-                        structure[(p, q)] = {s.triple_index(i, g.mul(gi, hi), j): 1}
+    structure = {(x, y): {z: 1} for x, y, z in brandt_products(n, n, n, g)}
     unit = {s.triple_index(i, g.identity_index, i): 1 for i in range(1, n + 1)}
     return StructureAlgebra(dim, labels, structure, unit=unit, name=f"l1(T:{n},{g.name})")
 
@@ -689,12 +708,11 @@ def contracted_brandt_algebra(index_size: int, g: FiniteGroup) -> StructureAlgeb
 def semigroup_algebra(s: BrandtSemigroup) -> StructureAlgebra:
     """The full semigroup algebra: the semigroup zero is an honest basis
     vector, so products falling on it give that basis vector, not 0."""
-    dim = s.size
-    structure = {}
-    for a in range(dim):
-        for b in range(dim):
-            structure[(a, b)] = {s.mul(a, b): 1}
-    alg = StructureAlgebra(dim, s.labels(), structure, name=f"l1(B({s.index_size},{s.group.name}))")
+    dim, n = s.size, s.index_size
+    structure = {(a, b): {s.zero_index: 1} for a in range(dim) for b in range(dim)}
+    for x, y, z in brandt_products(n, n, n, s.group):
+        structure[(x, y)] = {z: 1}
+    alg = StructureAlgebra(dim, s.labels(), structure, name=f"l1(B({n},{s.group.name}))")
     u = find_unit(alg)
     if u is not None:
         alg.unit = u.coeffs
@@ -768,28 +786,15 @@ def triple_basis_iso(index_size: int, g: FiniteGroup) -> tuple[LinearMap, Linear
     Returns the map and its inverse; both are permutation matrices with
     l1 operator norm exactly 1, and both are multiplicative.
     """
-    n, og = index_size, g.order
-    s = BrandtSemigroup(index_size, g)
-    dim = n * n * og
-    fwd = RationalMatrix(dim, dim)
-    bwd = RationalMatrix(dim, dim)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            pair = (i - 1) * n + (j - 1)
-            for gi in range(og):
-                src = pair * og + gi
-                dst = s.triple_index(i, gi, j)
-                fwd._rows[dst][src] = 1
-                bwd._rows[src][dst] = 1
-    return LinearMap(dim, dim, fwd), LinearMap(dim, dim, bwd)
+    n, s = index_size, BrandtSemigroup(index_size, g)
+    cols = [{s.triple_index(i, a, j): 1}
+            for i in range(1, n + 1) for j in range(1, n + 1) for a in range(g.order)]
+    fwd = LinearMap.from_cols(cols, len(cols))
+    return fwd, LinearMap(len(cols), len(cols), fwd.matrix.transpose())
 
 
 def index_pair_iso(index_size: int) -> LinearMap:
     """Basis bijection sending the pair (i, j) of the tensor-square basis of
-    the index space to the matrix unit with the same label."""
-    n = index_size
-    m = RationalMatrix(n * n, n * n)
-    for i in range(n):
-        for j in range(n):
-            m._rows[i * n + j][i * n + j] = 1
-    return LinearMap(n * n, n * n, m)
+    the index space to the matrix unit with the same label. Both bases put
+    (i, j) at (i-1)n + (j-1), so it is the identity."""
+    return LinearMap.identity(index_size * index_size)

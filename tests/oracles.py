@@ -494,3 +494,169 @@ def bar_boundary(a, e, n):
             out[index[key]] = out.get(index[key], 0) + v
         cols.append({t: v for t, v in out.items() if v})
     return cols
+
+
+# Matrix-unit and triple builders written loop by loop, each with its own
+# index arithmetic: the references for structures.brandt_products and the
+# algebras, rectangle actions and pairings built from it.
+
+
+def matrix_units_table(n):
+    """Structure constants e_(i,p) e_(p,j) = e_(i,j) on the pairs (i, j)."""
+    structure = {}
+    for i in range(n):
+        for p in range(n):
+            for j in range(n):
+                structure[(i * n + p, p * n + j)] = {i * n + j: 1}
+    return structure
+
+
+def contracted_table(n, g):
+    """Structure constants of the contracted triple algebra from
+    BrandtSemigroup.triple_index."""
+    from moritalab.structures import BrandtSemigroup
+
+    s = BrandtSemigroup(n, g)
+    structure = {}
+    for i in range(1, n + 1):
+        for gi in range(g.order):
+            for k in range(1, n + 1):
+                p = s.triple_index(i, gi, k)
+                for hi in range(g.order):
+                    for j in range(1, n + 1):
+                        q = s.triple_index(k, hi, j)
+                        structure[(p, q)] = {s.triple_index(i, g.mul(gi, hi), j): 1}
+    return structure
+
+
+def semigroup_table(s):
+    """Structure constants of the semigroup algebra from BrandtSemigroup.mul."""
+    return {(a, b): {s.mul(a, b): 1} for a in range(s.size) for b in range(s.size)}
+
+
+def matrix_row_action(n):
+    """Right action of the matrix units on the index space:
+    (b . a)(i) = sum_k b(k) a(k, i)."""
+    from moritalab.exactla import RationalMatrix
+
+    out = []
+    for k in range(n):
+        for i in range(n):
+            m = RationalMatrix(n, n)
+            m._rows[i][k] = 1
+            out.append(m)
+    return out
+
+
+def matrix_col_action(n):
+    """Left action of the matrix units on the index space:
+    (a . b)(i) = sum_k a(i, k) b(k)."""
+    from moritalab.exactla import RationalMatrix
+
+    out = []
+    for i in range(n):
+        for k in range(n):
+            m = RationalMatrix(n, n)
+            m._rows[i][k] = 1
+            out.append(m)
+    return out
+
+
+def scalar_action(dim):
+    from moritalab.exactla import RationalMatrix
+
+    return [RationalMatrix.identity(dim)]
+
+
+def rect_actions(left_n, right_n, g):
+    """Left and right convolution actions of the contracted algebras on the
+    triples (l, g, r) of a left_n x G x right_n rectangle."""
+    from moritalab.exactla import RationalMatrix
+
+    og = g.order
+    dim = left_n * og * right_n
+
+    def idx(l, gi, r):
+        return ((l - 1) * og + gi) * right_n + (r - 1)
+
+    left_action = []
+    for l1 in range(1, left_n + 1):
+        for hi in range(og):
+            for l2 in range(1, left_n + 1):
+                m = RationalMatrix(dim, dim)
+                for gi in range(og):
+                    for r in range(1, right_n + 1):
+                        m._rows[idx(l1, g.mul(hi, gi), r)][idx(l2, gi, r)] = 1
+                left_action.append(m)
+    right_action = []
+    for r1 in range(1, right_n + 1):
+        for hi in range(og):
+            for r2 in range(1, right_n + 1):
+                m = RationalMatrix(dim, dim)
+                for gi in range(og):
+                    for l in range(1, left_n + 1):
+                        m._rows[idx(l, g.mul(gi, hi), r2)][idx(l, gi, r1)] = 1
+                right_action.append(m)
+    return left_action, right_action
+
+
+def rect_pairing(left_n, mid_n, right_n, g):
+    """Convolution pairing (l,g,m) (x) (m',h,r) -> [m=m'] (l,gh,r)."""
+    from moritalab.exactla import LinearMap, RationalMatrix
+
+    og = g.order
+
+    def idx(a, gi, b, nb):
+        return ((a - 1) * og + gi) * nb + (b - 1)
+
+    src = (left_n * og * mid_n) * (mid_n * og * right_n)
+    tgt_dim = left_n * og * right_n
+    m = RationalMatrix(tgt_dim, src)
+    qdim = mid_n * og * right_n
+    for l in range(1, left_n + 1):
+        for gi in range(og):
+            for mid in range(1, mid_n + 1):
+                pcol = idx(l, gi, mid, mid_n)
+                for hi in range(og):
+                    for r in range(1, right_n + 1):
+                        qcol = idx(mid, hi, r, right_n)
+                        m._rows[idx(l, g.mul(gi, hi), r, right_n)][pcol * qdim + qcol] = 1
+    return LinearMap(src, tgt_dim, m)
+
+
+def trace_pairing(n):
+    """sum_i a(i) b(i) on the lexicographic pair basis."""
+    from moritalab.exactla import LinearMap, RationalMatrix
+
+    m = RationalMatrix(1, n * n)
+    for i in range(n):
+        m._rows[0][i * n + i] = 1
+    return LinearMap(n * n, 1, m)
+
+
+def unit_cols(n):
+    """The pair (i, j) of the index space's tensor square to the matrix
+    unit (i, j)."""
+    from moritalab.exactla import LinearMap
+
+    return LinearMap.from_cols([{i * n + j: 1} for i in range(n) for j in range(n)], n * n)
+
+
+def triple_basis_iso(n, g):
+    """(i,j) (x) g to the triple (i,g,j), and back."""
+    from moritalab.exactla import LinearMap, RationalMatrix
+    from moritalab.structures import BrandtSemigroup
+
+    s = BrandtSemigroup(n, g)
+    dim = n * n * g.order
+    fwd = RationalMatrix(dim, dim)
+    bwd = RationalMatrix(dim, dim)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            pair = (i - 1) * n + (j - 1)
+            for gi in range(g.order):
+                src = pair * g.order + gi
+                dst = s.triple_index(i, gi, j)
+                fwd._rows[dst][src] = 1
+                bwd._rows[src][dst] = 1
+    return LinearMap(dim, dim, fwd), LinearMap(dim, dim, bwd)

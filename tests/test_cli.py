@@ -152,6 +152,32 @@ def test_group_load_bad_file(capsys):
     assert "NotAssociative at triple" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "load"],
+    ["verify", "--check", "split", "--i", "1", "--group"],
+    ["homology", "--i", "1", "--group"],
+])
+def test_superscript_digit_in_group_file_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "superscript.cayley"
+    path.write_text("order ²\n0\n", encoding="utf-8")
+    assert main(argv + [str(path)]) == 2
+    assert "line 1, column 1" in capsys.readouterr().err
+
+
+def test_group_load_non_utf8_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.cayley"
+    path.write_bytes(b"order 1\n\xff\n")
+    assert main(["group", "load", str(path)]) == 2
+    assert "not a UTF-8 text file" in capsys.readouterr().err
+
+
+def test_verify_non_utf8_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"check": "lemma1\xff"}')
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_group_unknown_builtin(capsys):
     code = main(["group", "builtin", "Q8"])
     assert code == 2
@@ -210,6 +236,15 @@ def test_report_matches_golden():
     assert render_report_json(payload) == golden
 
 
+# The ROADMAP anchor. A change meant to leave results alone keeps it; a
+# change of results on purpose updates it here and in ROADMAP.
+ANCHOR_DIGEST = "sha256:3233cb14fe2cb2bf7f8098022a0ff473641290697caad8ce9d063b7bd5d6bbc1"
+
+
+def test_default_campaign_digest_is_the_anchor():
+    assert run_campaign(default_campaign()).to_dict()["digest"] == ANCHOR_DIGEST
+
+
 def test_report_digest_ignores_timing():
     payload = run_campaign(small_campaign()).to_dict()
     recomputed = report_digest(payload)
@@ -250,6 +285,22 @@ def test_report_malformed_file(tmp_path, capsys):
     path2 = tmp_path / "missing.json"
     path2.write_text(json.dumps({"schema_version": 1}))
     assert main(["report", str(path2)]) == 2
+
+
+def test_report_non_utf8_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"schema_version": 1\xff}')
+    assert main(["report", str(path)]) == 2
+    assert "cannot read report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("results", [[1], [{"check": "split"}, "pass"], 5])
+def test_report_with_malformed_results_exits_two(tmp_path, capsys, results):
+    path = tmp_path / "report.json"
+    keys = ("schema_version", "tool_version", "campaign", "digest")
+    path.write_text(json.dumps({**{k: 1 for k in keys}, "results": results}))
+    assert main(["report", str(path)]) == 2
+    assert "malformed report" in capsys.readouterr().err
 
 
 def test_verify_out_writes_valid_report(tmp_path, capsys):

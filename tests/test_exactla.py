@@ -40,6 +40,18 @@ def random_matrix(rng, rows, cols, density=0.5, span=5):
     return m
 
 
+def test_from_cols_rejects_row_out_of_bounds():
+    for row in (-1, 2):
+        with pytest.raises(IndexError, match=rf"entry \({row},0\) out of bounds 2x1"):
+            RationalMatrix.from_cols([{row: 1}], 2)
+
+
+def test_from_rows_rejects_column_out_of_bounds():
+    for col in (-1, 5):
+        with pytest.raises(IndexError, match=rf"entry \(0,{col}\) out of bounds 1x2"):
+            RationalMatrix.from_rows([{col: 1}], 2)
+
+
 def test_rref_identity():
     i2 = RationalMatrix.identity(2)
     out, rank = rref(i2)

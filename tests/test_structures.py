@@ -127,6 +127,26 @@ def test_cayley_file_diagnostics():
         load_cayley(os.path.join(DATA, "bad_latin.cayley"))
 
 
+@pytest.mark.parametrize("text,where", [
+    ("order ²\n", "line 1, column 1"),
+    ("order 2\n0 1\n1 ¹\n", "line 3, column 2"),
+    ("order 1\n0\nidentity ⁰\n", "line 3, column 1"),
+])
+def test_cayley_indices_are_ascii_digits(text, where):
+    """str.isdigit takes superscripts that int() rejects; the parser must
+    report them itself."""
+    with pytest.raises(CayleyTableError) as err:
+        parse_cayley(text)
+    assert where in str(err.value)
+
+
+def test_non_utf8_cayley_file_is_table_error(tmp_path):
+    path = tmp_path / "latin1.cayley"
+    path.write_bytes(b"order 1\n0\n\xff\n")
+    with pytest.raises(CayleyTableError, match="not a UTF-8 text file"):
+        load_cayley(str(path))
+
+
 # ------------------------------------------------------------------ semigroups
 
 def test_brandt_single_index_is_group_with_zero():
