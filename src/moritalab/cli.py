@@ -562,6 +562,24 @@ def cmd_homology(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _report_problem(payload) -> str | None:
+    """Why payload cannot be rendered as a report, or None."""
+    if not isinstance(payload, dict):
+        return "the report must be a JSON object"
+    for key in ("schema_version", "tool_version", "campaign", "results", "digest"):
+        if key not in payload:
+            return f"missing field {key!r}"
+    results = payload["results"]
+    if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
+        return "results must be a list of objects"
+    for k, r in enumerate(results):
+        inst = r.get("instance")
+        if not (isinstance(r.get("check"), str) and isinstance(r.get("status"), str)
+                and isinstance(inst, dict) and {"i", "j", "group"} <= inst.keys()):
+            return f"result {k} needs string check and status, and instance i, j, group"
+    return None
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
@@ -569,13 +587,8 @@ def cmd_report(args) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 2
-    for key in ("schema_version", "tool_version", "campaign", "results", "digest"):
-        if key not in payload:
-            print(f"malformed report: missing field {key!r}", file=sys.stderr)
-            return 2
-    results = payload["results"]
-    if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
-        print("malformed report: results must be a list of objects", file=sys.stderr)
+    if problem := _report_problem(payload):
+        print(f"malformed report: {problem}", file=sys.stderr)
         return 2
     text = render_report_text(payload) if args.format == "text" \
         else render_report_json(payload)

@@ -107,6 +107,17 @@ class RationalMatrix:
         return m
 
     @classmethod
+    def _of_columns(cls, col_dicts: list, rows: int) -> "RationalMatrix":
+        """Matrix keeping col_dicts (nonzero in-range entries, not to be changed
+        afterwards) as its column view, with its rows scattered from them."""
+        m = cls(rows, len(col_dicts))
+        for c, col in enumerate(col_dicts):
+            for r, v in col.items():
+                m._rows[r][c] = v
+        m._colcache = col_dicts
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         m = cls(n, n)
         for i in range(n):
@@ -316,15 +327,15 @@ def _combine(r: dict, p: dict, c: int) -> dict:
 
 
 def _sparsest_first(row: dict) -> tuple[int, int]:
-    """Sort key of the elimination order: sparsest row first, earliest
-    leading column as the tiebreak (a cheap Markowitz-flavored ordering
-    that keeps fill-in and coefficient growth down)."""
+    """Sort key of the exact engine's insertion order (the mod-2 selector
+    keeps index order): sparsest row first, earliest leading column as the
+    tiebreak, a cheap Markowitz-flavored order against fill-in and growth."""
     return (len(row), min(row)) if row else (0, -1)
 
 
 def _mod2_independent(rows, limit: int) -> list[int]:
     """Indices of at most limit rows whose primitive integer forms are
-    independent mod 2, taken in the elimination order.
+    independent mod 2, taken in index order.
 
     An integer dependency among primitive rows can be divided until some
     coefficient is odd; reduced mod 2 it is then a dependency there too.
@@ -336,21 +347,19 @@ def _mod2_independent(rows, limit: int) -> list[int]:
     Each primitive row is packed mod 2 into an int bitmask and reduced by
     XOR. A row is kept exactly when it is independent of the rows kept
     before it, so the pivot rule does not change the result. The highest
-    set bit is the pivot: int.bit_length finds it in one step, and on bar
-    boundaries, whose sorted rows lead with low columns, it needs about a
-    quarter of the XORs the lowest set bit does.
+    set bit is the pivot: int.bit_length finds it in one step.
 
-    _int_row keeps the support of a row (its values are nonzero), so the
-    raw rows sort as their primitive forms would, and a row is converted
-    only when the loop reaches it: on b_3 of l1(B(2,C3)) 10,407 of 28,561.
+    The order only decides which rows are picked. Index order needs no
+    sort over every row, and on b_3 of l1(B(2,C3)) it converts 4,789 of
+    the 28,561 columns where sparsest-first converted 10,407.
     """
     pivots: dict[int, int] = {}
     picked: list[int] = []
-    for i in sorted(range(len(rows)), key=lambda i: _sparsest_first(rows[i])):
+    for i, row in enumerate(rows):
         if len(picked) >= limit:
             break
         m = 0
-        for k, v in _int_row(rows[i]).items():
+        for k, v in _int_row(row).items():
             if v & 1:
                 m |= 1 << k
         while m:

@@ -2,11 +2,12 @@
 
 The chain space in degree n is the coefficient module tensored with n
 copies of the algebra. Its basis element x (x) a_1 (x) ... (x) a_n sits at
-the index whose base-d digits (d = dim A) are a_1 .. a_n below x. Each
-face of the boundary finds its target row by divmod: x.a_1 keeps the low
-n-1 digits, a_i a_{i+1} is spliced between the prefix x a_1 .. a_{i-1}
-and the suffix a_{i+2} .. a_n, and a_n.x keeps the middle digits
-a_1 .. a_{n-1}. The faces alternate in sign.
+the index whose base-d digits (d = dim A) are a_1 .. a_n below x. Column
+c of b_n is built from column c // d of b_{n-1}: its faces d_0 .. d_{n-2}
+are those there with a_n = c % d appended, d_{n-1} splices a_{n-1} a_n
+after the head (x.a_1 when n = 1), and d_n = a_n.x keeps the middle
+digits. The faces alternate in sign. Only the partial sums d_0 + .. +
+d_{n-1} of the degree below are kept; the columns built are the column view.
 
 Homology and cohomology with dual coefficients mirror each other. H_n
 takes its cycles from the kernel of b_n and its boundaries from the
@@ -26,31 +27,32 @@ every column or row ("exhaustive"). The bound is met exactly when the
 homology one degree down vanishes, so non-vanishing degrees are always
 eliminated to the end, and only such echelons feed representatives.
 
-The column path first chooses, by XOR on bitmasks, columns whose
-primitive integer forms are independent mod 2, up to the bound. They are
-independent over Q too: an integer dependency divided by its content has
-an odd coefficient, so it survives reduction mod 2. Exact elimination of
-the chosen columns therefore never reduces one to zero; when there are as
-many as the bound, it proves the rank ("bound"). Under 2-torsion fewer
-may be found, or a faulty choice may fall short exactly; then every
-column is eliminated as before. No rank rests on mod-2 arithmetic: it
-only decides which columns the exact elimination sees.
+The column path first chooses, by XOR on bitmasks and in index order,
+columns whose primitive integer forms are independent mod 2, up to the
+bound. They are independent over Q too: an integer dependency divided by
+its content has an odd coefficient, so it survives reduction mod 2. Exact
+elimination of the chosen columns therefore never reduces one to zero;
+when there are as many as the bound, it proves the rank ("bound"). Under
+2-torsion fewer may be found, or a faulty choice may fall short exactly;
+then every column is eliminated as before. No rank rests on mod-2
+arithmetic: it only decides which columns the exact elimination sees.
 
 The chosen columns pivot on their highest row index, as the mod-2
 selector does; every other elimination pivots on the lowest. Under
 either rule a column is reduced exactly and reaches zero exactly when it
 lies in the span of the columns before it, so the pivot count, and with
 it every rank and certificate, cannot change. The rule only decides
-fill-in: on b_3 of l1(B(2,C3)) the 2037 chosen columns take 2,295
-combine steps instead of 78,269. Only the echelon stored under the
+fill-in: on b_3 of l1(B(2,C3)) the 2037 chosen columns take 1,834
+combine steps instead of 112,220. Only the echelon stored under the
 "bound" certificate is trailing, and representatives refuse that one.
 
-The row path first eliminates the rows of b_n restricted to the columns
-behind the column pivots. That submatrix's rank is a lower bound on rank
-b_n whatever the columns are, so a wrong column set can only fail to
-reach the upper bound, never give a wrong rank. When it fails, the full
-rows are eliminated. Either way the row rank rests on the row path's own
-exact elimination of the boundary entries.
+The row path first eliminates, on trailing pivots, the rows of b_n
+restricted to the columns behind the column pivots; only their count is
+used. That submatrix's rank is a lower bound on rank b_n whatever the
+columns are, so a wrong column set can only fail to reach the upper
+bound, never give a wrong rank. When it fails, the full rows are
+eliminated on leading pivots. Either way the row rank rests on the row
+path's own exact elimination of the boundary entries.
 
 The derivation and diagonal systems are whole-matrix identities in the
 multiplication matrices L_p (x -> e_p x) and R_p (x -> x e_p). Flatten
@@ -114,15 +116,15 @@ class NotUnitalError(ValueError):
 class ChainComplex:
     """Chain spaces C_0..C_top with boundaries b_n: C_n -> C_{n-1}.
 
-    The composite-zero law b_n b_{n+1} = 0 is verified exactly on
-    construction; the rank bounds that end the eliminations rest on it.
+    The composite-zero law b_n b_{n+1} = 0 is verified exactly, one row of
+    the product at a time; the rank bounds that end the eliminations rest on it.
     certificates maps (path, n), path "col" or "row", to "bound" when the
     rank of b_n was proven by the two bounds meeting, or "exhaustive"
     when the elimination ran over every column or row.
     """
 
     __slots__ = ("algebra", "coefficients", "spaces", "boundaries",
-                 "certificates", "_row_ranks", "_echelons", "_col_sources")
+                 "certificates", "_row_ranks", "_echelons", "_col_sources", "__weakref__")
 
     def __init__(self, algebra, coefficients, spaces, boundaries):
         self.algebra = algebra
@@ -134,9 +136,18 @@ class ChainComplex:
         self._echelons = {}     # (path, n) -> pivots of an elimination of b_n
         self._col_sources = {}  # n -> column of b_n behind each column pivot
         for k in range(len(self.boundaries) - 1):
-            comp = self.boundaries[k].compose(self.boundaries[k + 1])
-            if not comp.matrix.is_zero():
-                raise RuntimeError(f"boundary composite b_{k + 1} b_{k + 2} is nonzero")
+            later = self.boundaries[k + 1].matrix._rows
+            for row in self.boundaries[k].matrix._rows:
+                acc: dict = {}  # one row of the product, dropped once checked
+                for j, v in row.items():
+                    for c, w in later[j].items():
+                        y = acc.get(c, 0) + v * w
+                        if y:
+                            acc[c] = y
+                        elif c in acc:
+                            del acc[c]
+                if acc:
+                    raise RuntimeError(f"boundary composite b_{k + 1} b_{k + 2} is nonzero")
 
     def boundary(self, n: int) -> LinearMap:
         """b_n: C_n -> C_{n-1}, stored for n = 1 .. top."""
@@ -188,21 +199,21 @@ class ChainComplex:
         """Rank of b_n by an independent elimination on its rows (cached).
 
         The rows are first restricted to the columns behind the column
-        pivots. A submatrix never has more rank than b_n, so if its rows
-        reach the upper bound the rank is proven, whichever columns were
-        kept. Otherwise every row of b_n is eliminated to the end.
+        pivots, on trailing pivots. A submatrix never has more rank than
+        b_n, so if its rows reach the upper bound the rank is proven,
+        whichever columns were kept. Otherwise every row is eliminated.
         """
         if n not in self._row_ranks:
             bound = self._rank_bound(n, self.row_rank)
             self.col_pivots(n)
-            keep = set(self._col_sources[n])
-            rows = self.boundary(n).matrix._rows
-            hinted = [{c: v for c, v in row.items() if c in keep} for row in rows]
-            rank = len(_forward_echelon(hinted, stop_at=bound))
+            mat = self.boundary(n).matrix
+            kept = [mat._columns()[c] for c in sorted(self._col_sources[n])]
+            hinted = RationalMatrix._of_columns(kept, mat.rows)._rows
+            rank = len(_forward_echelon(hinted, stop_at=bound, lead=max))
             if rank == bound:
                 self.certificates[("row", n)] = "bound"
             else:
-                piv = _forward_echelon(rows)
+                piv = _forward_echelon(mat._rows)
                 self._echelons[("row", n)] = piv
                 self.certificates[("row", n)] = "exhaustive"
                 rank = len(piv)
@@ -255,44 +266,47 @@ def bar_complex(a: StructureAlgebra, e: Bimodule, n_max: int,
 
     right_cols = [m._columns() for m in e.right_action]
     left_cols = [m._columns() for m in e.left_action]
-    struct = a.structure
     da = a.dim
-    pw = [da ** k for k in range(top + 2)]
+    keys = [list(range(dim)) for dim in dims[:top]]  # one int per index, shared
 
-    def face(acc, vec, scale, offset, sign):
-        # add sign * vec, its entry r landing on target index r * scale + offset
-        for r, v in vec.items():
-            idx = r * scale + offset
-            y = acc.get(idx, 0) + sign * v
+    def faces(vecs, scale, sign):
+        return [[(r * scale, sign * v) for r, v in vec.items()] for vec in vecs]
+
+    def add(acc, pairs, offset, key):
+        for r, v in pairs:
+            idx = key[r + offset]
+            y = acc.get(idx, 0) + v
             if y:
                 acc[idx] = y
             elif idx in acc:
                 del acc[idx]
 
     boundaries = []
+    partial = [{}] * e.dim  # faces d_0 .. d_{n-2} of each column of b_{n-1}
     for n in range(1, top + 1):
-        mat = RationalMatrix(dims[n - 1], dims[n])
-        rows = mat._rows
-        base = pw[n - 1]
-        for col in range(dims[n]):
-            x, legs = divmod(col, pw[n])
-            acc: dict = {}
-            # x.a_1 keeps the low n-1 digits a_2 .. a_n
-            first, low = divmod(legs, base)
-            face(acc, right_cols[first][x], base, low, 1)
-            # a_i a_{i+1} is spliced between x a_1 .. a_{i-1} and a_{i+2} .. a_n
-            for i in range(1, n):
-                shift = pw[n - i - 1]
-                head, rest = divmod(col, shift * da * da)
-                prod = struct.get(divmod(rest // shift, da))
-                if prod:
-                    face(acc, prod, shift, head * da * shift + rest % shift, -1 if i % 2 else 1)
-            # a_n.x keeps the middle digits a_1 .. a_{n-1}
-            middle, last = divmod(legs, da)
-            face(acc, left_cols[last][x], base, middle, -1 if n % 2 else 1)
-            for idx, v in acc.items():
-                rows[idx][col] = v
-        boundaries.append(LinearMap(dims[n], dims[n - 1], mat))
+        key, span, sign = keys[n - 1], da ** (n - 1), -1 if n % 2 else 1
+        # d_n = a_n.x, by x and a_n, keeps the middle digits a_1 .. a_{n-1}
+        lasts = [faces([m[x] for m in left_cols], span, sign) for x in range(e.dim)]
+        # d_{n-1}: x.a_1 (n = 1), else a_{n-1} a_n spliced after x a_1 .. a_{n-2}
+        splices = [faces([m[x] for m in right_cols], 1, 1) for x in range(e.dim)] if n == 1 \
+            else [faces([a.structure.get((s, t), {}) for t in range(da)], 1, -sign)
+                  for s in range(da)]
+        cols, nxt = [], []
+        for prev, part in enumerate(partial):
+            # column prev * d + a_n is x (x) a_1 .. a_{n-1} (x) a_n
+            x, middle = divmod(prev, span)
+            low = prev % da if n > 1 else x
+            shifted = {r * da: v for r, v in part.items()}
+            for last in range(da):
+                col = {key[r + last]: v for r, v in shifted.items()}
+                add(col, splices[low][last], prev - low, key)
+                if n < top:
+                    nxt.append(dict(col))
+                add(col, lasts[x][last], middle, key)
+                cols.append(col)
+        partial = nxt
+        boundaries.append(LinearMap(dims[n], dims[n - 1],
+                                    RationalMatrix._of_columns(cols, dims[n - 1])))
     return ChainComplex(a, e, dims, boundaries)
 
 
@@ -550,6 +564,7 @@ def vanishing_suite(a: StructureAlgebra, modules, n_max: int,
             degrees.append((n, hn.betti, cn.betti))
             if hn.betti != 0 or cn.betti != 0:
                 ok = False
+        del cx  # so that no two complexes are alive while the next one is built
         h0_note = "degree-0 quotient seminorm is a norm automatically at finite dimension"
         entries.append(ModuleVanishing(
             label=label, status="pass" if ok else "fail",

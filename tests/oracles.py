@@ -496,6 +496,55 @@ def bar_boundary(a, e, n):
     return cols
 
 
+def digit_bar_boundaries(a, e, n_max):
+    """b_1 .. b_{n_max+1} as RationalMatrix, built row-first column by
+    column: each column index is read as the base-d digits x a_1 .. a_n
+    (d = dim a) and every face's target row is found by divmod. This is
+    the build homology.bar_complex used before its column-first one."""
+    from moritalab.exactla import RationalMatrix
+
+    top = n_max + 1
+    da = a.dim
+    dims = [e.dim * da ** k for k in range(top + 1)]
+    right_cols = [_cols(m) for m in e.right_action]
+    left_cols = [_cols(m) for m in e.left_action]
+    pw = [da ** k for k in range(top + 2)]
+
+    def face(acc, vec, scale, offset, sign):
+        for r, v in vec.items():
+            idx = r * scale + offset
+            y = acc.get(idx, 0) + sign * v
+            if y:
+                acc[idx] = y
+            elif idx in acc:
+                del acc[idx]
+
+    out = []
+    for n in range(1, top + 1):
+        mat = RationalMatrix(dims[n - 1], dims[n])
+        base = pw[n - 1]
+        for col in range(dims[n]):
+            x, legs = divmod(col, pw[n])
+            acc = {}
+            # x.a_1 keeps the low n-1 digits a_2 .. a_n
+            first, low = divmod(legs, base)
+            face(acc, right_cols[first][x], base, low, 1)
+            # a_i a_{i+1} is spliced between x a_1 .. a_{i-1} and a_{i+2} .. a_n
+            for i in range(1, n):
+                shift = pw[n - i - 1]
+                head, rest = divmod(col, shift * da * da)
+                prod = a.structure.get(divmod(rest // shift, da))
+                if prod:
+                    face(acc, prod, shift, head * da * shift + rest % shift, -1 if i % 2 else 1)
+            # a_n.x keeps the middle digits a_1 .. a_{n-1}
+            middle, last = divmod(legs, da)
+            face(acc, left_cols[last][x], base, middle, -1 if n % 2 else 1)
+            for idx, v in acc.items():
+                mat._rows[idx][col] = v
+        out.append(mat)
+    return out
+
+
 # Matrix-unit and triple builders written loop by loop, each with its own
 # index arithmetic: the references for structures.brandt_products and the
 # algebras, rectangle actions and pairings built from it.

@@ -303,6 +303,41 @@ def test_report_with_malformed_results_exits_two(tmp_path, capsys, results):
     assert "malformed report" in capsys.readouterr().err
 
 
+def test_report_top_level_string_exits_two(tmp_path, capsys):
+    # a string holding the five field names passes a substring test
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps("schema_version tool_version campaign results digest"))
+    assert main(["report", str(path)]) == 2
+    assert "malformed report: the report must be a JSON object" in capsys.readouterr().err
+
+
+_GOOD_RESULT = {"check": "split", "status": "pass", "instance": {"i": 1, "j": 2, "group": "C2"}}
+
+
+@pytest.mark.parametrize("result", [
+    {},
+    {**_GOOD_RESULT, "instance": {"i": 1, "group": "C2"}},
+    {**_GOOD_RESULT, "status": 1},
+    {**_GOOD_RESULT, "check": None},
+    {**_GOOD_RESULT, "instance": [1, 2, "C2"]},
+], ids=["empty result", "instance without j", "non-string status",
+        "non-string check", "instance not an object"])
+def test_report_with_malformed_result_fields_exits_two(tmp_path, capsys, result):
+    path = tmp_path / "report.json"
+    keys = ("schema_version", "tool_version", "campaign", "digest")
+    path.write_text(json.dumps({**{k: 1 for k in keys}, "results": [_GOOD_RESULT, result]}))
+    assert main(["report", str(path)]) == 2
+    assert "malformed report: result 1 needs" in capsys.readouterr().err
+
+
+def test_report_with_well_formed_minimal_result_renders(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    keys = ("schema_version", "tool_version", "campaign", "digest")
+    path.write_text(json.dumps({**{k: 1 for k in keys}, "results": [_GOOD_RESULT]}))
+    assert main(["report", str(path)]) == 0
+    assert "PASS    split          i=1 j=2 group=C2" in capsys.readouterr().out
+
+
 def test_verify_out_writes_valid_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "--check", "lemma1", "--i", "2", "--out", str(out)])

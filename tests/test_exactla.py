@@ -514,8 +514,8 @@ def test_mod2_independent_misses_two_torsion():
     assert dense_rank([[QQ(r.get(c, 0)) for c in range(4)] for r in rows]) == 4
     picked = _mod2_independent(rows, 4)
     assert len(picked) == 3 and 3 in picked
-    # sparsest first: the one-entry row is taken first
-    assert picked[0] == 3
+    # index order: the third row is the sum of the first two mod 2
+    assert picked == [0, 1, 3]
 
 
 # ----------------------------------------------------------- binomial spans

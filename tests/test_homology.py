@@ -1,6 +1,7 @@
 """Bar complex, Hochschild (co)homology, derivations, diagonals."""
 
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,7 @@ from oracles import (
     dense_rank,
     diagonal_defects,
     diagonal_system,
+    digit_bar_boundaries,
     inner_columns,
     is_unit,
     leibniz_rows,
@@ -114,6 +116,70 @@ def test_bar_boundaries_match_face_by_face_oracle():
             b = cx.boundary(n)
             assert [b.col(c) for c in range(b.source_dim)] == bar_boundary(a, e, n), \
                 (a.name, e.name, n)
+
+
+@pytest.fixture(scope="module")
+def build_cases():
+    b1c2 = semigroup_algebra(brandt(1, cyclic_group(2)))
+    cases = []
+    for a in (b1c2, semigroup_algebra(brandt(2, cyclic_group(2))),
+              semigroup_algebra(brandt(2, cyclic_group(3))), matrix_algebra(2)):
+        reg = regular_bimodule(a)
+        cases += [(a, reg), (a, induced_completion(a, dual_bimodule(reg))),
+                  (a, induced_completion(a, seeded_random_bimodule(a, 7)))]
+    # Fraction structure constants, so Fraction actions and faces
+    fr = rescaled(b1c2)
+    cases += [(b1c2, seeded_random_bimodule(b1c2, 3)), (fr, regular_bimodule(fr))]
+    return cases
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+def test_bar_boundaries_equal_the_digit_build(build_cases, n_max):
+    fractions = False
+    for a, e in build_cases:
+        cx = bar_complex(a, e, n_max)
+        ref = digit_bar_boundaries(a, e, n_max)
+        assert len(cx.boundaries) == len(ref) == n_max + 1
+        for n, (b, m) in enumerate(zip(cx.boundaries, ref), start=1):
+            assert b.matrix == m, (a.name, e.name, n)
+            assert b.matrix._columns() == b.matrix.transpose()._rows, (a.name, e.name, n)
+            fractions |= any(isinstance(v, Fraction) for _, _, v in m.entries())
+    assert fractions == (n_max > 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_changed_entry_of_b3_fails_the_composite_check(seed):
+    sa = semigroup_algebra(brandt(2, cyclic_group(2)))
+    cx = bar_complex(sa, regular_bimodule(sa), 2)
+    b2, b3 = (cx.boundary(n).matrix for n in (2, 3))
+    rng = random.Random(seed)
+    # b_2 does not kill basis vector r of C_2, so changing entry (r, c) of
+    # b_3 changes column c of b_2 b_3
+    r = rng.choice([k for k, col in enumerate(b2._columns()) if col])
+    c = rng.randrange(b3.cols)
+    bad = RationalMatrix.from_rows(b3._rows, b3.cols)
+    bad._rows[r][c] = b3.entry(r, c) + 1 or 2
+    boundaries = cx.boundaries[:2] + [LinearMap(b3.cols, b3.rows, bad)]
+    ChainComplex(sa, cx.coefficients, cx.spaces, cx.boundaries)
+    with pytest.raises(RuntimeError, match="composite b_2 b_3 is nonzero"):
+        ChainComplex(sa, cx.coefficients, cx.spaces, boundaries)
+
+
+def test_vanishing_suite_frees_each_complex_before_the_next(monkeypatch):
+    sa = semigroup_algebra(brandt(1, cyclic_group(2)))
+    reg = regular_bimodule(sa)
+    built = []
+    true_build = homology.bar_complex
+
+    def build(*args, **kw):
+        assert all(ref() is None for ref in built), "a previous complex is still alive"
+        cx = true_build(*args, **kw)
+        built.append(weakref.ref(cx))
+        return cx
+
+    monkeypatch.setattr(homology, "bar_complex", build)
+    rep = vanishing_suite(sa, [reg, dual_bimodule(reg), reg], 1)
+    assert len(built) == 3 and rep.passed
 
 
 def test_bar_size_limit_total_entry_count():
@@ -339,9 +405,23 @@ def test_column_selector_hands_only_independent_columns_to_engine(monkeypatch):
     assert len(set(cx._col_sources[3])) == 2037
 
 
+def test_selector_converts_few_columns_of_b3(monkeypatch):
+    # index order reaches the bound after 4,789 of the 28,561 columns of
+    # b_3 of regular l1(B(2,C3)); the sparsest-first order took 10,407
+    sa = semigroup_algebra(brandt(2, cyclic_group(3)))
+    cx = bar_complex(sa, regular_bimodule(sa), 2)
+    cx.col_rank(2)
+    converted = []
+    int_row = exactla._int_row
+    monkeypatch.setattr(exactla, "_int_row", lambda row: converted.append(1) or int_row(row))
+    picked = _mod2_independent(cx.boundary(3).matrix._columns(), cx._rank_bound(3, cx.col_rank))
+    assert len(picked) == 2037
+    assert len(converted) <= 6000
+
+
 def test_chosen_columns_eliminated_on_their_highest_row(monkeypatch):
     # the 2037 chosen columns of b_3 of regular l1(B(2,C3)) pivot on their
-    # highest row index; on their lowest they took 78,269 combine steps
+    # highest row index; on their lowest they take 112,220 combine steps
     sa = semigroup_algebra(brandt(2, cyclic_group(3)))
     cx = bar_complex(sa, regular_bimodule(sa), 2)
     cx.col_rank(2)
