@@ -15,14 +15,14 @@ so the quotient action proj @ m @ section is proj @ m restricted to
 those columns: one product per action matrix certifies preservation and
 gives the quotient action.
 
-Three checks use the generator derivation of an algebra (structures):
+Four checks use the generator derivation of an algebra (structures):
 generators S and steps t <- (s, u), with e_t a combination of e_s e_u
 and elements derived before t. An algebra with a derivation is
 associative at every basis triple. Write L, R for actions, extended
 linearly to algebra elements. Each Bimodule records once per side
 (_rows_hold) whether its action holds on the generator rows,
 L_s L_q = L_(e_s e_q) or R_q R_s = R_(e_s e_q) for generators s and all
-q; every step pair (s, u) is such a row. All three checks read it.
+q; every step pair (s, u) is such a row. All four checks read it.
 
 * The rows imply every axiom. At a step, c_t L_t = L_s L_u -
   sum c_r L_r, so by induction on u and the r, c_t L_t L_q =
@@ -52,9 +52,24 @@ q; every step pair (s, u) is such a row. All three checks read it.
   onto, so T_p T_q = sum c_r T_r; and L_p (x) 1 commutes with
   1 (x) R_q, so the quotient actions commute. The right action is the
   mirror image, with T_u T_s and f's right record. So the quotient
-  module is built unchecked. Without a derivation, when a record fails
-  or when a generator check fails, every basis element is checked and
-  so is the quotient module, so a broken input raises the same error.
+  module is built unchecked, and both its records are set: it is a
+  bimodule. Without a derivation, when a record fails or when a
+  generator check fails, every basis element is checked and so is the
+  quotient module, so a broken input raises the same error.
+* A module map from the generators. Let M map E to F, with actions S
+  and T of one algebra on a side, and both modules' records on that
+  side. If M S_s = T_s M for every generator s, then at a step
+  t <- (s, u), by induction on u and the r, c_t M S_t = M S_s S_u -
+  sum c_r M S_r = T_s T_u M - sum c_r T_r M = c_t T_t M; on the right
+  it is S_u S_s and T_u T_s. So M intertwines that side. The algebras
+  must be equal, not just of one dimension: the steps and the c come
+  from the source's structure constants and the records from each
+  module's own. If a generator fails or a condition is missing, every
+  basis element of that side is compared, so the messages are unchanged.
+
+The regular module of an algebra with a derivation is built unchecked
+with both records set: its axioms are associativity at every basis
+triple, which the derivation proves (structures).
 
 The modules of semigroups and S-sets have monomial actions, and N then
 needs no elimination:
@@ -220,19 +235,26 @@ def _right_pair_holds(right, alg: StructureAlgebra, p: int, q: int) -> bool:
 
 
 class BimoduleMap:
-    """A linear map intertwining both actions; construction fails loudly."""
+    """A linear map intertwining both actions; construction fails loudly.
 
-    __slots__ = ("source", "target", "map")
+    certificate records the route of the last intertwining_failures
+    call, as BalancedTensor.action_certificate does: "generators" (both
+    sides from the generators) or "exhaustive" (a side compared on every
+    basis element); None before any check.
+    """
+
+    __slots__ = ("source", "target", "map", "certificate")
 
     def __init__(self, source: Bimodule, target: Bimodule, linmap: LinearMap, check=True):
         if linmap.source_dim != source.dim or linmap.target_dim != target.dim:
             raise ValueError("map dimensions do not match modules")
-        if source.left_algebra.dim != target.left_algebra.dim or \
-           source.right_algebra.dim != target.right_algebra.dim:
+        if source.left_algebra != target.left_algebra or \
+           source.right_algebra != target.right_algebra:
             raise ValueError("source and target live over different algebras")
         self.source = source
         self.target = target
         self.map = linmap
+        self.certificate = None
         if check:
             bad = self.intertwining_failures(stop_early=True)
             if bad:
@@ -240,13 +262,24 @@ class BimoduleMap:
 
     def intertwining_failures(self, stop_early=False) -> list[str]:
         """One message per action basis element p with M S_p != T_p M,
-        where M is the map and S, T are the source and target actions."""
+        where M is the map and S, T are the source and target actions.
+        A side that meets the conditions of the module docstring and
+        passes on the generators has none; any other side is compared on
+        every basis element in turn."""
         out = []
         m = self.map.matrix
-        for side, src_actions, tgt_actions in (
-            ("left", self.source.left_action, self.target.left_action),
-            ("right", self.source.right_action, self.target.right_action),
+        src, tgt = self.source, self.target
+        self.certificate = "generators"
+        for side, alg, tgt_alg, src_actions, tgt_actions in (
+            ("left", src.left_algebra, tgt.left_algebra, src.left_action, tgt.left_action),
+            ("right", src.right_algebra, tgt.right_algebra, src.right_action, tgt.right_action),
         ):
+            der = alg.derivation()
+            if (der is not None and alg == tgt_alg and src._rows_hold(side)
+                    and tgt._rows_hold(side)
+                    and all(m @ src_actions[s] == tgt_actions[s] @ m for s in der.generators)):
+                continue
+            self.certificate = "exhaustive"
             for p, (s, t) in enumerate(zip(src_actions, tgt_actions)):
                 if m @ s != t @ m:
                     out.append(f"map does not intertwine {side} action of basis {p}")
@@ -265,6 +298,10 @@ class BimoduleMap:
 def regular_bimodule(a: StructureAlgebra) -> Bimodule:
     """The algebra acting on itself by multiplication on both sides.
 
+    Its axioms are associativity, so with a derivation of a it is built
+    unchecked and both generator-row records are set (module docstring);
+    otherwise it is checked.
+
     Cached on the algebra by weak reference: the module is immutable and
     rebuilt values would be structurally identical, and the module refers
     back to the algebra, so a strong reference would make a cycle that
@@ -275,7 +312,10 @@ def regular_bimodule(a: StructureAlgebra) -> Bimodule:
     if mod is None:
         left = [a.left_mult_matrix(p) for p in range(a.dim)]
         right = [a.right_mult_matrix(p) for p in range(a.dim)]
-        mod = Bimodule(a, a, a.dim, left, right, labels=a.labels, name=a.name, check=True)
+        proven = a.derivation() is not None
+        mod = Bimodule(a, a, a.dim, left, right, labels=a.labels, name=a.name, check=not proven)
+        if proven:
+            mod._row_checks.update(left=True, right=True)
         a._regular_cache = weakref.ref(mod)
     return mod
 
@@ -504,6 +544,8 @@ def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Balance
         e.left_algebra, f.right_algebra, q.dim, actions["left"], actions["right"],
         name=f"{e.name}(x)_{over.name}{f.name}", check=(action_certificate == "exhaustive"),
     )
+    if action_certificate == "generators":
+        small._row_checks.update(left=True, right=True)
     return BalancedTensor(module=small, proj=q.proj, section=q.section, relations=rel,
                           certificate=certificate, action_certificate=action_certificate)
 

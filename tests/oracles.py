@@ -188,6 +188,18 @@ def intertwining_violations(bmap):
     return out
 
 
+def algebra_hom_failure(f, src, dst):
+    """Reference for morita._is_algebra_hom: (ok, message) after trying
+    f(e_p e_q) = f(e_p) f(e_q) on every basis pair in order."""
+    cols = _cols(f.matrix)
+    for p in range(src.dim):
+        for q in range(src.dim):
+            lhs = _compose_col(cols, _product(src.structure, {p: 1}, {q: 1}))
+            if lhs != _product(dst.structure, cols[p], cols[q]):
+                return False, f"not multiplicative at basis pair ({p},{q})"
+    return True, ""
+
+
 # Generator derivations and balancing subspaces, recomputed from the
 # structure constants and the dense action matrices.
 

@@ -20,6 +20,7 @@ from moritalab.structures import (
     StructureAlgebra,
     brandt,
     cyclic_group,
+    group_algebra,
     matrix_algebra,
     scalar_algebra,
     semigroup_algebra,
@@ -100,6 +101,30 @@ def test_regular_module_cache_makes_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_regular_bimodule_records_come_from_the_derivation(monkeypatch):
+    checked = []
+    monkeypatch.setattr(Bimodule, "check_axioms", lambda self, stop_early=False: checked.append(1))
+    algebras = (matrix_algebra(2), semigroup_algebra(brandt(2, cyclic_group(3))),
+                rescaled(semigroup_algebra(brandt(1, cyclic_group(2)))))
+    modules = [regular_bimodule(a) for a in algebras]
+    assert checked == []
+    monkeypatch.undo()
+    for reg in modules:
+        assert reg._row_checks == {"left": True, "right": True}
+        assert axiom_violations(reg) == []
+        # check_axioms recomputes the records and agrees
+        assert reg.check_axioms() == []
+        assert reg._row_checks == {"left": True, "right": True}
+
+
+def test_regular_bimodule_of_non_associative_algebra_is_checked():
+    # e0 e0 = e1 and e1 e0 = e0: (e0 e0) e0 = e0 but e0 (e0 e0) = 0
+    bad = StructureAlgebra(2, ["a", "b"], {(0, 0): {1: 1}, (1, 0): {0: 1}}, check=False)
+    assert bad.derivation() is None
+    with pytest.raises(BimoduleAxiomError):
+        regular_bimodule(bad)
 
 
 def test_row_column_action_formulas():
@@ -442,16 +467,30 @@ def test_bimodule_map_rejects_non_intertwining():
     BimoduleMap(reg, reg, LinearMap.zero(4, 4))
 
 
+def test_bimodule_map_rejects_different_algebras_of_one_dimension():
+    m2, c4 = matrix_algebra(2), group_algebra(cyclic_group(4))
+    assert m2.dim == c4.dim == 4
+    for check in (True, False):
+        with pytest.raises(ValueError, match="^source and target live over different algebras$"):
+            BimoduleMap(regular_bimodule(m2), regular_bimodule(c4), LinearMap.zero(4, 4),
+                        check=check)
+
+
 # ------------------------------------------- matrix checks against a reference
 
 _B12 = semigroup_algebra(brandt(1, cyclic_group(2)))
 _B23 = semigroup_algebra(brandt(2, cyclic_group(3)))
+_WIT = witness_brandt_full(1, 2, cyclic_group(2))
+_PQ = balanced_tensor(_WIT.p, _WIT.q, _WIT.algebra_a)
 FAULT_MODULES = [
     regular_bimodule(matrix_algebra(2)),
     regular_bimodule(_B12),
     seeded_random_bimodule(_B12, 5),
     # 3 generators of 13, so the generator pass checks a proper subset
     regular_bimodule(_B23),
+    # P (x)_A Q of a witness: actions replayed from the generators, built
+    # unchecked with both records set
+    _PQ.module,
 ]
 
 
@@ -515,6 +554,67 @@ def test_column_reference_agrees_on_valid_modules():
         assert intertwining_violations(ident) == [] == ident.intertwining_failures()
 
 
+def test_replayed_quotient_records_are_set_and_hold():
+    bt = balanced_tensor(_WIT.p, _WIT.q, _WIT.algebra_a)
+    assert bt.action_certificate == "generators"
+    assert bt.module == _PQ.module
+    mod = bt.module
+    assert mod._row_checks == {"left": True, "right": True}
+    assert axiom_violations(mod) == []
+    fresh = Bimodule(mod.left_algebra, mod.right_algebra, mod.dim, mod.left_action,
+                     mod.right_action, check=False)
+    assert fresh._rows_hold("left") and fresh._rows_hold("right")
+
+
+def test_intertwining_on_regular_module_compares_generators_only(monkeypatch):
+    reg = regular_bimodule(_B23)
+    assert reg._row_checks == {"left": True, "right": True}
+    bmap = BimoduleMap(reg, reg, LinearMap.identity(reg.dim), check=False)
+    assert bmap.certificate is None
+    calls = []
+    real = RationalMatrix.__matmul__
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counting)
+    assert bmap.intertwining_failures() == []
+    # M S_s and T_s M for 3 of 13 basis elements on each side
+    assert len(calls) == 2 * 2 * len(_B23.derivation().generators) == 12
+    assert bmap.certificate == "generators"
+
+
+def test_intertwining_falls_back_when_the_source_record_fails():
+    reg = FAULT_MODULES[3]
+    for t, _, _ in _B23.derivation().steps:
+        for side in ("left", "right"):
+            src = _corrupt_action(reg, side, t, t, 12, 1)
+            assert not src._rows_hold(side)
+            bmap = BimoduleMap(src, reg, LinearMap.identity(reg.dim), check=False)
+            expected = intertwining_violations(bmap)
+            assert expected == [f"map does not intertwine {side} action of basis {t}"]
+            assert bmap.intertwining_failures() == expected
+            assert bmap.certificate == "exhaustive"
+            assert bmap.intertwining_failures(stop_early=True) == expected[:1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(iso=st.sampled_from(["iso_pq", "iso_qp"]), r=st.integers(0, 20), c=st.integers(0, 20),
+       delta=st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+def test_witness_map_intertwining_matches_reference_under_fault_injection(iso, r, c, delta):
+    # the source is a replayed quotient and the target a regular module, so
+    # both sides take the generator route until a generator fails
+    good = getattr(_WIT, iso)
+    m = good.map.matrix
+    bad = _with_entry(m, r % m.rows, c % m.cols, delta)
+    bmap = BimoduleMap(good.source, good.target, LinearMap(m.cols, m.rows, bad), check=False)
+    expected = intertwining_violations(bmap)
+    assert bmap.intertwining_failures() == expected
+    assert bmap.certificate == ("exhaustive" if expected else "generators")
+    assert bmap.intertwining_failures(stop_early=True) == expected[:1]
+
+
 def test_check_axioms_corrupted_non_generator_action_matches_reference():
     der = _B23.derivation()
     assert len(der.generators) == 3 < _B23.dim
@@ -549,7 +649,6 @@ RANDOM_MODULE_ALGEBRAS = [
 ]
 
 
-_WIT = witness_brandt_full(1, 2, cyclic_group(2))
 _WIT_BALANCING = [
     (_WIT.p, _WIT.q, _WIT.algebra_a),
     (_WIT.q, _WIT.p, _WIT.algebra_b),

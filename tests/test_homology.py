@@ -815,7 +815,8 @@ def test_diagonal_and_vanishing_co_occur():
 def test_morita_invariant_betti_on_witness_pairs():
     # regular-coefficient betti vectors agree across certified witness
     # pairs; covered for the pairs with both sides of dimension <= 19
-    # (the dim 25 and 28 sides cost minutes each and add no new logic)
+    # (the dim 25 and 28 sides take about 2.5 s and 3.6 s each, at 225 and
+    # 324 MiB peak RSS, and add no new logic)
     def betti_vector(i_size, g):
         algebra = semigroup_algebra(brandt(i_size, g))
         reg = regular_bimodule(algebra)

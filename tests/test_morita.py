@@ -1,8 +1,10 @@
 """Morita witnesses, the splitting sequence, and fault injection."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moritalab.exactla import (
     LinearMap,
@@ -13,6 +15,7 @@ from moritalab.exactla import (
     subspace_equal,
 )
 from moritalab.structures import (
+    StructureAlgebra,
     cyclic_group,
     find_unit,
     klein_four_group,
@@ -31,8 +34,11 @@ from moritalab.morita import (
     witness_brandt_contracted,
     witness_brandt_full,
     witness_matrix_vs_scalars,
+    _is_algebra_hom,
     _rect_pairing,
 )
+
+from oracles import algebra_hom_failure
 
 
 # --------------------------------------------------------- matrix vs scalars
@@ -112,6 +118,68 @@ def test_split_sequence_unit_transport():
             expected[s.zero_index] = 1 - i
         assert unit.coeffs == expected
         assert sp.theta.apply(unit.coeffs) == sp.sum_algebra.unit
+
+
+_SPLIT = split_sequence(2, cyclic_group(3))
+_HOMS = {
+    "u": (_SPLIT.u, _SPLIT.contracted, _SPLIT.semigroup),
+    "v": (_SPLIT.v, _SPLIT.semigroup, _SPLIT.scalars),
+    "w": (_SPLIT.w, _SPLIT.semigroup, _SPLIT.contracted),
+    "theta": (_SPLIT.theta, _SPLIT.semigroup, _SPLIT.sum_algebra),
+}
+
+
+def _with_map_entry(f, r, c, delta):
+    m = RationalMatrix.from_rows([f.matrix.row(i) for i in range(f.target_dim)], f.source_dim)
+    v = m._rows[r].get(c, 0) + delta
+    if v:
+        m._rows[r][c] = v
+    else:
+        del m._rows[r][c]
+    return LinearMap(f.source_dim, f.target_dim, m)
+
+
+def test_split_homomorphisms_certified_on_generators():
+    assert _SPLIT.hom_certificates == dict.fromkeys(("u", "v", "w", "theta"), "generators")
+    for f, src, dst in _HOMS.values():
+        assert len(src.derivation().generators) < src.dim
+        assert _is_algebra_hom(f, src, dst) == (True, "", "generators")
+        assert algebra_hom_failure(f, src, dst) == (True, "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_HOMS)), r=st.integers(0, 20), c=st.integers(0, 20),
+       delta=st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+def test_algebra_hom_matches_full_loop_under_fault_injection(name, r, c, delta):
+    f, src, dst = _HOMS[name]
+    bad = _with_map_entry(f, r % f.target_dim, c % f.source_dim, delta)
+    ok, message, certificate = _is_algebra_hom(bad, src, dst)
+    assert (ok, message) == algebra_hom_failure(bad, src, dst)
+    assert certificate == ("generators" if ok else "exhaustive")
+
+
+def test_algebra_hom_corrupted_at_non_generators_matches_full_loop():
+    for name, (f, src, dst) in _HOMS.items():
+        gens = src.derivation().generators
+        for c in range(src.dim):
+            if c in gens:
+                continue
+            bad = _with_map_entry(f, c % f.target_dim, c, 1)
+            expected = algebra_hom_failure(bad, src, dst)
+            assert not expected[0], (name, c)
+            assert _is_algebra_hom(bad, src, dst) == (*expected, "exhaustive")
+
+
+def test_algebra_hom_without_derivation_checks_every_pair():
+    # e0 e0 = e1 and e1 e0 = e0: not associative, so there is no derivation
+    bad = StructureAlgebra(2, ["a", "b"], {(0, 0): {1: 1}, (1, 0): {0: 1}}, check=False)
+    assert bad.derivation() is None
+    ident = LinearMap.identity(2)
+    assert _is_algebra_hom(ident, bad, bad) == (True, "", "exhaustive")
+    swap = LinearMap.from_cols([{1: 1}, {0: 1}], 2)
+    expected = algebra_hom_failure(swap, bad, bad)
+    assert not expected[0]
+    assert _is_algebra_hom(swap, bad, bad) == (*expected, "exhaustive")
 
 
 def test_split_sequence_klein_four():
