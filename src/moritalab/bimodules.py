@@ -325,13 +325,14 @@ def _rect_actions(left_n: int, right_n: int, g: FiniteGroup):
     the left_n x G x right_n rectangle, by the Brandt product: the left
     algebra glues onto the left index, the right one onto the right."""
     dim = left_n * g.order * right_n
-    left = [RationalMatrix(dim, dim) for _ in range(left_n * g.order * left_n)]
+    left = [{} for _ in range(left_n * g.order * left_n)]
     for x, y, z in brandt_products(left_n, left_n, right_n, g):
-        left[x]._rows[z][y] = 1
-    right = [RationalMatrix(dim, dim) for _ in range(right_n * g.order * right_n)]
+        left[x][z, y] = 1
+    right = [{} for _ in range(right_n * g.order * right_n)]
     for x, y, z in brandt_products(left_n, right_n, right_n, g):
-        right[y]._rows[z][x] = 1
-    return left, right
+        right[y][z, x] = 1
+    return ([RationalMatrix(dim, dim, e) for e in left],
+            [RationalMatrix(dim, dim, e) for e in right])
 
 
 def _rect_pairing(left_n: int, mid_n: int, right_n: int, g: FiniteGroup) -> LinearMap:
@@ -341,9 +342,8 @@ def _rect_pairing(left_n: int, mid_n: int, right_n: int, g: FiniteGroup) -> Line
     pdim = left_n * g.order * mid_n
     qdim = mid_n * g.order * right_n
     tdim = left_n * g.order * right_n
-    m = RationalMatrix(tdim, pdim * qdim)
-    for x, y, z in brandt_products(left_n, mid_n, right_n, g):
-        m._rows[z][x * qdim + y] = 1
+    products = brandt_products(left_n, mid_n, right_n, g)
+    m = RationalMatrix(tdim, pdim * qdim, {(z, x * qdim + y): 1 for x, y, z in products})
     return LinearMap(pdim * qdim, tdim, m)
 
 
@@ -596,11 +596,8 @@ def mu_map(e: Bimodule) -> BimoduleMap:
     left algebra acting regularly on the left factor."""
     a = e.left_algebra
     bt = balanced_tensor(regular_bimodule(a), e, a)
-    cols = []
-    for p in range(a.dim):
-        for r in range(e.dim):
-            cols.append(e.left_action[p].col(r))
-    raw = LinearMap.from_cols(cols, e.dim)
+    raw = LinearMap.from_cols(
+        [e.left_action[p].col(r) for p in range(a.dim) for r in range(e.dim)], e.dim)
     return induced_map(bt, raw, e)
 
 
@@ -608,11 +605,8 @@ def mirror_mu_map(e: Bimodule) -> BimoduleMap:
     """The mirror collapse x (x) b -> x.b over the right algebra."""
     b = e.right_algebra
     bt = balanced_tensor(e, regular_bimodule(b), b)
-    cols = []
-    for r in range(e.dim):
-        for p in range(b.dim):
-            cols.append(e.right_action[p].col(r))
-    raw = LinearMap.from_cols(cols, e.dim)
+    raw = LinearMap.from_cols(
+        [e.right_action[p].col(r) for r in range(e.dim) for p in range(b.dim)], e.dim)
     return induced_map(bt, raw, e)
 
 
@@ -635,13 +629,9 @@ def is_self_induced(a: StructureAlgebra) -> bool:
     tensor square of the algebra onto the algebra."""
     reg = regular_bimodule(a)
     bt = balanced_tensor(reg, reg, a)
-    cols = []
-    for p in range(a.dim):
-        for q in range(a.dim):
-            cols.append(a.structure.get((p, q), {}))
-    raw = LinearMap.from_cols(cols, a.dim)
-    m = induced_map(bt, raw, reg)
-    return m.is_bijective()
+    raw = LinearMap.from_cols(
+        [a.structure.get((p, q), {}) for p in range(a.dim) for q in range(a.dim)], a.dim)
+    return induced_map(bt, raw, reg).is_bijective()
 
 
 def dual_bimodule(e: Bimodule) -> Bimodule:
@@ -675,10 +665,7 @@ def induced_completion(a: StructureAlgebra, f: Bimodule) -> Bimodule:
 
 def _extend_block(m: RationalMatrix, dim: int) -> RationalMatrix:
     """m as the top-left block of a dim x dim matrix, zero elsewhere."""
-    out = RationalMatrix(dim, dim)
-    for r, row in enumerate(m._rows):
-        out._rows[r] = dict(row)
-    return out
+    return RationalMatrix(dim, dim, (((r, c), v) for r, c, v in m.entries()))
 
 
 def seeded_random_bimodule(a: StructureAlgebra, seed: int) -> Bimodule:
@@ -692,7 +679,7 @@ def seeded_random_bimodule(a: StructureAlgebra, seed: int) -> Bimodule:
     base = regular_bimodule(a) if rng.random() < 0.5 else dual_bimodule(regular_bimodule(a))
     pad = rng.randrange(0, 2)
     dim = base.dim + pad
-    u = RationalMatrix.identity(dim)
+    rows = [{k: 1} for k in range(dim)]
     for _ in range(3 * dim):
         i = rng.randrange(dim)
         j = rng.randrange(dim)
@@ -700,9 +687,11 @@ def seeded_random_bimodule(a: StructureAlgebra, seed: int) -> Bimodule:
             continue
         c = rng.choice([-2, -1, 1, 2])
         # row op on u: row_j += c * row_i
-        u._rows[j] = vec_sub(u._rows[j], {k: -c * v for k, v in u._rows[i].items()})
+        rows[j] = vec_sub(rows[j], {k: -c * v for k, v in rows[i].items()})
+    u = RationalMatrix.from_rows(rows, dim)
     uinv = inverse(LinearMap(dim, dim, u)).matrix
-    assert u @ uinv == RationalMatrix.identity(dim)
+    if u @ uinv != RationalMatrix.identity(dim):
+        raise RuntimeError(f"change of basis for seed {seed}: u times its inverse is not 1")
     left = [u @ _extend_block(m, dim) @ uinv for m in base.left_action]
     right = [u @ _extend_block(m, dim) @ uinv for m in base.right_action]
     return Bimodule(

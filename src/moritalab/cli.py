@@ -513,8 +513,12 @@ def cmd_verify(args) -> int:
     payload = report.to_dict()
     sys.stdout.write(render_report_text(payload))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_report_json(payload))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(render_report_json(payload))
+        except OSError as exc:
+            print(f"cannot write report {args.out}: {exc}", file=sys.stderr)
+            return 2
     if campaign.strict and report.any_skipped():
         return 3
     return 0 if report.passed else 1

@@ -231,8 +231,8 @@ class ChainComplex:
         """
         if path == "col":
             piv = self.col_pivots(n)
-            assert self.certificates[("col", n)] == "exhaustive", \
-                f"column echelon of b_{n} ended at the rank bound"
+            if self.certificates[("col", n)] != "exhaustive":
+                raise RuntimeError(f"column echelon of b_{n} ended at the rank bound")
             return piv
         key = ("row", n)
         if key not in self._echelons:
@@ -466,9 +466,7 @@ def diagonal_check(a: StructureAlgebra):
     m = solve(LinearMap(d * d, len(rows), RationalMatrix.from_rows(rows, d * d)), rhs)
     if m is None:
         return None
-    coeffs = RationalMatrix(d, d)
-    for idx, v in m.items():
-        coeffs._rows[idx // d][idx % d] = v
+    coeffs = RationalMatrix(d, d, {divmod(idx, d): v for idx, v in m.items()})
     for t in range(d):
         if a.left_mult_matrix(t) @ coeffs != coeffs @ a.right_mult_matrix(t).transpose():
             raise RuntimeError(f"diagonal substitution failed at basis {t}")

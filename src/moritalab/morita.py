@@ -284,28 +284,11 @@ def split_sequence(index_size: int, g: FiniteGroup) -> SplitSequence:
     ns = alg_s.dim
     z = s.zero_index
 
-    u_m = RationalMatrix(ns, nt)
-    for t in range(nt):
-        u_m._rows[t][t] = 1
-        u_m._rows[z][t] = -1
-    u = LinearMap(nt, ns, u_m)
-
-    v_m = RationalMatrix(1, ns)
-    for t in range(ns):
-        v_m._rows[0][t] = 1
-    v = LinearMap(ns, 1, v_m)
-
-    w_m = RationalMatrix(nt, ns)
-    for t in range(nt):
-        w_m._rows[t][t] = 1
-    w = LinearMap(ns, nt, w_m)
-
-    theta_m = RationalMatrix(nt + 1, ns)
-    for t in range(nt):
-        theta_m._rows[t][t] = 1
-    for t in range(ns):
-        theta_m._rows[nt][t] = 1
-    theta = LinearMap(ns, nt + 1, theta_m)
+    u = LinearMap.from_cols([{t: 1, z: -1} for t in range(nt)], ns)
+    v = LinearMap.from_cols([{0: 1}] * ns, 1)
+    w = LinearMap.from_cols([{t: 1} for t in range(nt)] + [{}] * (ns - nt), nt)
+    theta = LinearMap.from_cols(
+        [{t: 1, nt: 1} for t in range(nt)] + [{nt: 1}] * (ns - nt), nt + 1)
 
     hom_certificates = {}
     for name, f, src, dst in (("u", u, alg_t, alg_s), ("v", v, alg_s, scalars),
@@ -328,12 +311,9 @@ def split_sequence(index_size: int, g: FiniteGroup) -> SplitSequence:
     theta_inv = inverse(theta)
     if theta_inv is None:
         raise VerificationFailed("theta_bijective", "theta is not invertible")
-    formula = RationalMatrix(ns, nt + 1)
-    for t in range(nt):
-        formula._rows[t][t] = 1
-        formula._rows[z][t] = -1
-    formula._rows[z][nt] = formula._rows[z].get(nt, 0) + 1
-    if theta_inv != LinearMap(nt + 1, ns, formula):
+    # written out on its own, not derived from u, so the check stays independent
+    formula = LinearMap.from_cols([{t: 1, z: -1} for t in range(nt)] + [{z: 1}], ns)
+    if theta_inv != formula:
         raise VerificationFailed("theta_inverse_formula",
                                  "inverse of theta differs from u(b) + z * zero point mass")
     if theta.apply({z: 1}) != {nt: 1}:
@@ -368,8 +348,8 @@ def _rect_module(left_n: int, right_n: int, g: FiniteGroup,
         f"({l},{g.names[gi]},{r})"
         for l in range(1, left_n + 1) for gi in range(g.order) for r in range(1, right_n + 1)
     ]
-    assert left_alg.dim == left_n * g.order * left_n
-    assert right_alg.dim == right_n * g.order * right_n
+    if left_alg.dim != left_n * g.order * left_n or right_alg.dim != right_n * g.order * right_n:
+        raise ValueError("algebra dimensions do not match the rectangle sides")
     return Bimodule(
         left_alg, right_alg, len(labels), *_rect_actions(left_n, right_n, g),
         labels=labels, name=f"span({left_n}x{g.name}x{right_n})",
@@ -393,15 +373,28 @@ def witness_brandt_contracted(i_size: int, j_size: int, g: FiniteGroup) -> Morit
 
 
 def _star_block(dim: int) -> RationalMatrix:
-    out = RationalMatrix(dim, dim)
-    out._rows[dim - 1][dim - 1] = 1
-    return out
+    return RationalMatrix(dim, dim, {(dim - 1, dim - 1): 1})
 
 
 def _transport_actions(base_actions, theta: LinearMap):
     """Actions of the semigroup algebra obtained by pushing its basis
     through theta into the direct sum and combining the sum actions."""
     return [linear_combination(theta.col(s), base_actions) for s in range(theta.source_dim)]
+
+
+def _full_pairing(left_dim: int, right_dim: int, rect_pairing: LinearMap,
+                  split_out: SplitSequence) -> LinearMap:
+    """Pair rectangle with rectangle by convolution and star with star into
+    the scalar line, then pull back along the splitting: the pair
+    (pcol, qcol) of the two padded modules is column pcol * right_dim + qcol."""
+    theta_inv = split_out.theta_inv
+    inner = right_dim - 1
+    cols = []
+    for pcol in range(left_dim - 1):
+        cols += [theta_inv.apply(rect_pairing.col(pcol * inner + qcol)) for qcol in range(inner)]
+        cols.append({})
+    cols += [{}] * inner + [theta_inv.apply({split_out.contracted.dim: 1})]
+    return LinearMap.from_cols(cols, split_out.semigroup.dim)
 
 
 def witness_brandt_full(i_size: int, j_size: int, g: FiniteGroup) -> MoritaWitness:
@@ -446,26 +439,8 @@ def witness_brandt_full(i_size: int, j_size: int, g: FiniteGroup) -> MoritaWitne
         name=f"Q({i_size},{j_size},{g.name})",
     )
 
-    def full_pairing(left_dim, right_dim, rect_pairing, split_out):
-        """Pair rectangle with rectangle by convolution and star with star
-        into the scalar line, then pull back along the splitting."""
-        nt = split_out.contracted.dim
-        ns = split_out.semigroup.dim
-        m = RationalMatrix(ns, left_dim * right_dim)
-        theta_inv = split_out.theta_inv
-        for pcol in range(left_dim - 1):
-            for qcol in range(right_dim - 1):
-                sum_coords = rect_pairing.col(pcol * (right_dim - 1) + qcol)
-                out = theta_inv.apply(sum_coords)
-                for r, v in out.items():
-                    m._rows[r][pcol * right_dim + qcol] = v
-        star = theta_inv.apply({nt: 1})
-        for r, v in star.items():
-            m._rows[r][(left_dim - 1) * right_dim + (right_dim - 1)] = v
-        return LinearMap(left_dim * right_dim, ns, m)
-
-    raw_pq = full_pairing(pd, qd, _rect_pairing(j_size, i_size, j_size, g), split_j)
-    raw_qp = full_pairing(qd, pd, _rect_pairing(i_size, j_size, i_size, g), split_i)
+    raw_pq = _full_pairing(pd, qd, _rect_pairing(j_size, i_size, j_size, g), split_j)
+    raw_qp = _full_pairing(qd, pd, _rect_pairing(i_size, j_size, i_size, g), split_i)
 
     bt_pq = balanced_tensor(p, q, a_full)
     iso_pq = induced_map(bt_pq, raw_pq, regular_bimodule(b_full))

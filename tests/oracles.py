@@ -721,3 +721,93 @@ def triple_basis_iso(n, g):
                 fwd._rows[dst][src] = 1
                 bwd._rows[src][dst] = 1
     return LinearMap(dim, dim, fwd), LinearMap(dim, dim, bwd)
+
+
+# The split sequence, the padded pairings and the random change of basis
+# written entry by entry: the references for the column-list builders in
+# morita and bimodules.
+
+
+def split_maps(nt, ns, z):
+    """u, v, w, theta and the inverse-of-theta formula of the splitting of a
+    semigroup algebra of dimension ns with zero z over a contracted algebra
+    of dimension nt."""
+    from moritalab.exactla import LinearMap, RationalMatrix
+
+    u = RationalMatrix(ns, nt)
+    for t in range(nt):
+        u._rows[t][t] = 1
+        u._rows[z][t] = -1
+    v = RationalMatrix(1, ns)
+    for t in range(ns):
+        v._rows[0][t] = 1
+    w = RationalMatrix(nt, ns)
+    for t in range(nt):
+        w._rows[t][t] = 1
+    theta = RationalMatrix(nt + 1, ns)
+    for t in range(nt):
+        theta._rows[t][t] = 1
+    for t in range(ns):
+        theta._rows[nt][t] = 1
+    formula = RationalMatrix(ns, nt + 1)
+    for t in range(nt):
+        formula._rows[t][t] = 1
+        formula._rows[z][t] = -1
+    formula._rows[z][nt] = formula._rows[z].get(nt, 0) + 1
+    return (LinearMap(nt, ns, u), LinearMap(ns, 1, v), LinearMap(ns, nt, w),
+            LinearMap(ns, nt + 1, theta), LinearMap(nt + 1, ns, formula))
+
+
+def full_pairing(left_dim, right_dim, rect_pairing, split_out):
+    """The rectangle pairing padded by star (x) star -> the scalar line,
+    pulled back along the inverse of theta."""
+    from moritalab.exactla import LinearMap, RationalMatrix
+
+    nt = split_out.contracted.dim
+    ns = split_out.semigroup.dim
+    m = RationalMatrix(ns, left_dim * right_dim)
+    theta_inv = split_out.theta_inv
+    for pcol in range(left_dim - 1):
+        for qcol in range(right_dim - 1):
+            sum_coords = rect_pairing.col(pcol * (right_dim - 1) + qcol)
+            for r, v in theta_inv.apply(sum_coords).items():
+                m._rows[r][pcol * right_dim + qcol] = v
+    for r, v in theta_inv.apply({nt: 1}).items():
+        m._rows[r][(left_dim - 1) * right_dim + (right_dim - 1)] = v
+    return LinearMap(left_dim * right_dim, ns, m)
+
+
+def extend_block(m, dim):
+    """m as the top-left block of a dim x dim matrix."""
+    from moritalab.exactla import RationalMatrix
+
+    out = RationalMatrix(dim, dim)
+    for r, row in enumerate(m._rows):
+        out._rows[r] = dict(row)
+    return out
+
+
+def seeded_random_bimodule(a, seed):
+    """The regular module or its dual, maybe padded by a zero line, conjugated
+    by a random unimodular matrix, with the same random draws as
+    bimodules.seeded_random_bimodule."""
+    import random
+
+    from moritalab.bimodules import Bimodule, dual_bimodule, regular_bimodule
+    from moritalab.exactla import LinearMap, RationalMatrix, inverse, vec_sub
+
+    rng = random.Random(seed)
+    base = regular_bimodule(a) if rng.random() < 0.5 else dual_bimodule(regular_bimodule(a))
+    dim = base.dim + rng.randrange(0, 2)
+    u = RationalMatrix.identity(dim)
+    for _ in range(3 * dim):
+        i = rng.randrange(dim)
+        j = rng.randrange(dim)
+        if i == j:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        u._rows[j] = vec_sub(u._rows[j], {k: -c * v for k, v in u._rows[i].items()})
+    uinv = inverse(LinearMap(dim, dim, u)).matrix
+    left = [u @ extend_block(m, dim) @ uinv for m in base.left_action]
+    right = [u @ extend_block(m, dim) @ uinv for m in base.right_action]
+    return Bimodule(a, a, dim, left, right, name=f"random({a.name},seed={seed})")

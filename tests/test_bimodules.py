@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moritalab import exactla
+from moritalab import bimodules, exactla
 from moritalab.exactla import (
     LinearMap,
     RationalMatrix,
@@ -47,10 +47,11 @@ from moritalab.bimodules import (
     seeded_random_bimodule,
     tensor,
     trace_pairing,
+    _extend_block,
 )
-
 from moritalab.morita import witness_brandt_full
 
+import oracles
 from oracles import (
     axiom_violations,
     balancing_span,
@@ -408,6 +409,30 @@ def test_seeded_random_bimodule_deterministic_and_valid():
         assert m1 == m2
         assert m1.check_axioms() == []
     assert seeded_random_bimodule(sa, 0) != seeded_random_bimodule(sa, 1)
+
+
+@pytest.mark.parametrize("sa", [semigroup_algebra(brandt(1, cyclic_group(2))),
+                                semigroup_algebra(brandt(2, cyclic_group(1)))],
+                         ids=["B(1,C2)", "B(2,C1)"])
+def test_seeded_random_bimodule_matches_entry_by_entry_reference(sa):
+    for seed in range(20):
+        assert seeded_random_bimodule(sa, seed) == oracles.seeded_random_bimodule(sa, seed)
+
+
+def test_seeded_random_bimodule_refuses_a_wrong_inverse(monkeypatch):
+    # a raised check, not an assert, so it also holds under python -O
+    sa = semigroup_algebra(brandt(1, cyclic_group(2)))
+    monkeypatch.setattr(bimodules, "inverse", lambda f: LinearMap.identity(f.source_dim))
+    with pytest.raises(RuntimeError, match="u times its inverse is not 1"):
+        seeded_random_bimodule(sa, 0)
+
+
+def test_extend_block_matches_entry_by_entry_reference():
+    reg = regular_bimodule(semigroup_algebra(brandt(2, cyclic_group(2))))
+    fractional = RationalMatrix(3, 3, {(0, 2): Fraction(1, 3), (2, 0): -2, (1, 1): Fraction(5, 7)})
+    for m in [*reg.left_action, *reg.right_action, fractional, RationalMatrix(2, 2)]:
+        for dim in (m.rows, m.rows + 1, m.rows + 3):
+            assert _extend_block(m, dim) == oracles.extend_block(m, dim)
 
 
 def test_seeded_random_bimodule_entries_stay_int():

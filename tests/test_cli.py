@@ -48,6 +48,16 @@ def test_verify_rejects_unknown_check(capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+def test_verify_out_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code = main(["verify", "--check", "lemma1", "--i", "1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "PASS" in captured.out
+    assert f"cannot write report {target}: " in captured.err
+    assert not target.exists()
+
+
 def test_verify_morita_brandt_instance(capsys):
     code = main(["verify", "--check", "morita_brandt", "--i", "2", "--j", "3",
                  "--group", "C2"])

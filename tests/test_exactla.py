@@ -1,11 +1,14 @@
 """Exact linear algebra kernels against trivial cases and dense oracles."""
 
+import ast
+import pathlib
 import random
 from fractions import Fraction as QQ
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import moritalab
 from moritalab.exactla import (
     LinearMap,
     RationalMatrix,
@@ -578,3 +581,45 @@ def test_binomial_span_matches_dense_rref(case, dup, rnd):
 def test_binomial_span_cases(relations, dim):
     _check_binomial_span(4, relations)
     assert binomial_span(4, relations).dim == dim
+
+
+# ------------------------------------------------------- storage boundary
+
+_STORAGE = {"_rows", "_colcache"}
+_MUTATORS = {"append", "clear", "extend", "insert", "pop", "popitem", "remove",
+             "setdefault", "update"}
+
+
+def _writes_storage(target) -> bool:
+    """Whether an assignment or del target is a storage attribute, an item
+    of one at any depth, or a tuple or list holding one."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_writes_storage(t) for t in target.elts)
+    if isinstance(target, (ast.Subscript, ast.Starred)):
+        return _writes_storage(target.value)
+    return isinstance(target, ast.Attribute) and target.attr in _STORAGE
+
+
+def test_only_exactla_writes_matrix_storage():
+    """RationalMatrix storage belongs to exactla: every other module builds
+    matrices through its constructors and at most reads the views."""
+    src = pathlib.Path(moritalab.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "exactla.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = node.targets
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                targets = [node.func.value]
+            else:
+                continue
+            if any(_writes_storage(t) for t in targets):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

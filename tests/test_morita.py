@@ -19,12 +19,14 @@ from moritalab.structures import (
     cyclic_group,
     find_unit,
     klein_four_group,
+    symmetric_group,
 )
 from moritalab.bimodules import (
     Bimodule,
     BimoduleMap,
     balanced_tensor,
     induced_map,
+    regular_bimodule,
 )
 from moritalab.morita import (
     VerificationFailed,
@@ -34,10 +36,12 @@ from moritalab.morita import (
     witness_brandt_contracted,
     witness_brandt_full,
     witness_matrix_vs_scalars,
+    _full_pairing,
     _is_algebra_hom,
     _rect_pairing,
 )
 
+import oracles
 from oracles import algebra_hom_failure
 
 
@@ -187,6 +191,18 @@ def test_split_sequence_klein_four():
     assert sp.semigroup.dim == 17
 
 
+@pytest.mark.parametrize("g", [cyclic_group(1), cyclic_group(2), symmetric_group(3)],
+                         ids=["C1", "C2", "S3"])
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_split_maps_match_entry_by_entry_reference(i, g):
+    sp = split_sequence(i, g)
+    u, v, w, theta, formula = oracles.split_maps(
+        sp.contracted.dim, sp.semigroup.dim, sp.brandt_semigroup.zero_index)
+    assert (sp.u, sp.v, sp.w, sp.theta) == (u, v, w, theta)
+    # split_sequence compared the inverse with its own formula
+    assert sp.theta_inv == formula
+
+
 # ---------------------------------------------------------- contracted witness
 
 def test_contracted_witness_trivial_sizes():
@@ -224,6 +240,24 @@ def test_full_witness_one_two_c1():
     assert rep.passed
     for cond in rep.conditions:
         assert cond.passed, cond.name
+
+
+@pytest.mark.parametrize("i,j,g", [(1, 2, cyclic_group(1)), (2, 3, cyclic_group(2)),
+                                   (2, 1, symmetric_group(3))], ids=["1-2-C1", "2-3-C2", "2-1-S3"])
+def test_full_pairings_match_entry_by_entry_reference(i, j, g):
+    split_i, split_j = split_sequence(i, g), split_sequence(j, g)
+    pd = qd = i * g.order * j + 1
+    raw_pq = _full_pairing(pd, qd, _rect_pairing(j, i, j, g), split_j)
+    raw_qp = _full_pairing(qd, pd, _rect_pairing(i, j, i, g), split_i)
+    assert raw_pq == oracles.full_pairing(pd, qd, _rect_pairing(j, i, j, g), split_j)
+    assert raw_qp == oracles.full_pairing(qd, pd, _rect_pairing(i, j, i, g), split_i)
+    # and these are the pairings the witness descends to its isomorphisms
+    w = witness_brandt_full(i, j, g)
+    a, b = w.algebra_a, w.algebra_b
+    assert w.iso_pq.map == induced_map(balanced_tensor(w.p, w.q, a), raw_pq,
+                                       regular_bimodule(b)).map
+    assert w.iso_qp.map == induced_map(balanced_tensor(w.q, w.p, b), raw_qp,
+                                       regular_bimodule(a)).map
 
 
 def test_full_witness_swap_is_still_verified():

@@ -117,6 +117,14 @@ def test_rectangle_modules_match_loop_actions(left_n, right_n, g):
     assert same_matrices(mod.right_action, right)
 
 
+def test_rectangle_module_rejects_algebras_of_other_sides():
+    g = cyclic_group(2)
+    one, two = contracted_brandt_algebra(1, g), contracted_brandt_algebra(2, g)
+    for left_alg, right_alg in ((one, one), (two, two)):
+        with pytest.raises(ValueError, match="do not match the rectangle sides"):
+            _rect_module(2, 1, g, left_alg, right_alg)
+
+
 @pytest.mark.parametrize("g", GROUPS, ids=GROUP_IDS)
 @pytest.mark.parametrize("left_n,mid_n,right_n", itertools.product(SIDES, SIDES, SIDES))
 def test_rectangle_pairings_match_loop_pairing(left_n, mid_n, right_n, g):
