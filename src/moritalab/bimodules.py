@@ -7,13 +7,13 @@ never assumed, because that is exactly where a subtle bug would silently
 corrupt every downstream homology computation.
 
 The balanced tensor E (x)_A F is the quotient of E (x) F by the balancing
-subspace N. quotient() gives a projection proj with kernel exactly N, so
-an outer action matrix m maps N into N exactly when proj @ m kills every
-basis vector of N, that is when (proj @ m) @ N^T is zero. The section
-embeds the quotient as the coordinates at N's non-pivot (free) columns,
-so the quotient action proj @ m @ section is proj @ m restricted to
-those columns: one product per action matrix certifies preservation and
-gives the quotient action.
+subspace N. quotient() gives a projection proj with kernel exactly N, and
+a section onto N's non-pivot (free) columns; proj N^T = 0 is checked once.
+For m = L_p (x) 1 or 1 (x) R_p, exactla's _times_outer forms pm = proj m
+from the rows of proj and L_p or R_p, never the Kronecker matrix, and the
+quotient action T = proj m section is pm on the free columns. pm = T proj
+certifies T: then pm N^T = T proj N^T = 0, so m maps N into N. pm N^T is
+formed only when that check fails, to tell the two errors apart.
 
 Four checks use the generator derivation of an algebra (structures):
 generators S and steps t <- (s, u), with e_t a combination of e_s e_u
@@ -43,8 +43,8 @@ q; every step pair (s, u) is such a row. All four checks read it.
 * The quotient is a bimodule from the generators' checks. Let
   m_p = L_p (x) 1 on E (x) F; with e's left record, m_p m_q =
   sum c_r m_r for every pair. For each generator s it is checked that
-  m_s maps N into N and that proj m_s = T_s proj, where T_s is proj m_s
-  on the free columns; the other T_t are replayed by c_t T_t = T_s T_u -
+  proj m_s = T_s proj, where T_s is proj m_s on the free columns, so
+  m_s maps N into N; the other T_t are replayed by c_t T_t = T_s T_u -
   sum c_r T_r. By induction over the steps every m_t maps N into N and
   proj m_t = T_t proj, so T_t = proj m_t section (proj section = 1):
   the matrix the per-basis check forms, integral entries kept as int.
@@ -95,6 +95,7 @@ from .exactla import (
     LinearMap,
     RationalMatrix,
     Subspace,
+    _times_outer,
     binomial_span,
     inverse,
     kronecker,
@@ -499,13 +500,13 @@ class BalancedTensor:
 def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> BalancedTensor:
     """Quotient of the tensor product by the balancing subspace, with the
     induced outer actions. An action matrix is checked to map the
-    balancing subspace into itself before its quotient action is formed.
+    balancing subspace into itself before its quotient action is kept.
 
-    One product pm = proj @ m per checked action matrix m serves both: m
-    preserves the balancing subspace exactly when pm kills its basis, and
-    the quotient action proj @ m @ section is pm on the free columns. The
-    same pm certifies that proj intertwines m with the quotient action
-    t: pm == t @ proj.
+    proj N^T = 0 is checked once (RuntimeError otherwise). For each checked
+    action matrix m, pm = proj @ m, t is pm on the free columns, and
+    pm == t @ proj certifies that m preserves N and that proj intertwines
+    m with t (module docstring). When it fails, a nonzero pm @ N^T raises
+    ActionNotWellDefined, else IntertwiningError.
 
     Those checks run on the generators of the outer algebras only, and
     the other quotient actions are replayed over the derivation steps
@@ -517,18 +518,18 @@ def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Balance
     q = quotient(e.dim * f.dim, rel)
     rel_cols = rel.basis.transpose()
     proj, free = q.proj.matrix, q.free
+    if not (proj @ rel_cols).is_zero():
+        raise RuntimeError("quotient projection does not vanish on the balancing subspace")
 
     def action(side: str, p: int) -> RationalMatrix:
-        pm = proj @ _outer_action(e, f, side, p)
-        if not (pm @ rel_cols).is_zero():
-            raise ActionNotWellDefined(
-                f"{side} action of basis {p} does not preserve the balancing subspace"
-            )
+        m, n = (e.left_action[p], f.dim) if side == "left" else (f.right_action[p], e.dim)
+        pm = _times_outer(proj, m, side, n)
         t = RationalMatrix.from_rows(
-            [{free[j]: v for j, v in row.items() if j in free} for row in pm._rows],
-            q.dim,
-        )
+            [{free[j]: v for j, v in row.items() if j in free} for row in pm._rows], q.dim)
         if pm != t @ proj:
+            if not (pm @ rel_cols).is_zero():
+                raise ActionNotWellDefined(f"{side} action of basis {p} does not preserve "
+                                           "the balancing subspace")
             raise IntertwiningError(f"map does not intertwine {side} action of basis {p}")
         return t
 

@@ -9,9 +9,10 @@ digest.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import errno
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -397,6 +398,8 @@ def run_campaign(campaign: Campaign) -> Report:
         return res
 
     if campaign.jobs > 1:
+        # imported here: it pulls in logging, which only this branch needs
+        import concurrent.futures
         with concurrent.futures.ThreadPoolExecutor(max_workers=campaign.jobs) as pool:
             results = list(pool.map(run_one, work))
     else:
@@ -503,9 +506,24 @@ def build_campaign(args) -> Campaign:
     )
 
 
+def _unwritable(path: str) -> OSError | None:
+    """Why open(path, "w") would fail, told before a campaign runs, or None."""
+    parent = os.path.dirname(os.path.abspath(path))
+    for bad, code in ((not os.path.exists(parent), errno.ENOENT),
+                      (not os.path.isdir(parent), errno.ENOTDIR),
+                      (os.path.isdir(path), errno.EISDIR),
+                      (not os.access(parent, os.W_OK), errno.EACCES)):
+        if bad:
+            return OSError(code, os.strerror(code), path)
+    return None
+
+
 def cmd_verify(args) -> int:
     try:
         campaign = build_campaign(args)
+        if args.out and (bad_out := _unwritable(args.out)):
+            print(f"cannot write report {args.out}: {bad_out}", file=sys.stderr)
+            return 2
         report = run_campaign(campaign)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -561,8 +561,11 @@ def binomial_span(ambient_dim: int, relations) -> Subspace:
     size = [1] * ambient_dim
     dead = [False] * ambient_dim
 
-    def find(x):
-        path = []
+    def find(x):  # x is not a root; a path of one step needs no compression
+        r = parent[x]
+        if parent[r] == r:
+            return r
+        path, x = [x], r
         while parent[x] != x:
             path.append(x)
             x = parent[x]
@@ -583,11 +586,11 @@ def binomial_span(ambient_dim: int, relations) -> Subspace:
             i, a, b = j, b, 0
         if not a:
             continue
-        ri = find(i)
+        ri = i if parent[i] == i else find(i)
         if not b:
             dead[ri] = True
             continue
-        rj = find(j)
+        rj = j if parent[j] == j else find(j)
         # a root's weight is 1, and stays so until it is hung below another
         ai = a * weight[i]
         bj = b * weight[j]
@@ -599,13 +602,14 @@ def binomial_span(ambient_dim: int, relations) -> Subspace:
         if size[ri] > size[rj]:
             ri, rj, ai, bj = rj, ri, bj, ai
         parent[ri] = rj
-        weight[ri] = _ratio(-bj, ai)
+        unit = type(ai) is int and type(bj) is int and (ai == 1 or ai == -1)  # 1/ai == ai
+        weight[ri] = -bj * ai if unit else _ratio(-bj, ai)
         size[rj] += size[ri]
         dead[rj] = dead[rj] or dead[ri]
 
     members: dict[int, list[int]] = {}
     for x in range(ambient_dim):
-        members.setdefault(find(x), []).append(x)
+        members.setdefault(x if parent[x] == x else find(x), []).append(x)
     rows = []
     for root, comp in members.items():
         if dead[root]:
@@ -840,3 +844,29 @@ def kronecker(f: LinearMap, g: LinearMap) -> LinearMap:
         for r2, c2, v2 in g_entries:
             m._rows[r1 * gt + r2][c1 * gs + c2] = v1 * v2
     return LinearMap(f.source_dim * g.source_dim, f.target_dim * g.target_dim, m)
+
+
+def _times_outer(a: RationalMatrix, m: RationalMatrix, side: str, n: int) -> RationalMatrix:
+    """a @ (m (x) 1_n) (side "left") or a @ (1_n (x) m) (side "right") for a
+    square m of size d, row by row, never forming the Kronecker matrix:
+    m (x) 1_n holds m_xx' at (x n + y, x' n + y), 1_n (x) m holds m_yy' at
+    (x d + y, x d + y'). Integral entries come out as int (see nrat)."""
+    d = m.rows
+    if m.cols != d or a.cols != d * n:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ ({m.rows}x{m.cols} (x) {n})")
+    mrows, left, out = m._rows, side == "left", []
+    for row in a._rows:
+        acc: dict = {}
+        for k, v in row.items():
+            if left:
+                x, y = divmod(k, n)
+                for x2, w in mrows[x].items():
+                    c = x2 * n + y
+                    acc[c] = acc.get(c, 0) + v * w
+            else:
+                y = k % d
+                for y2, w in mrows[y].items():
+                    c = k - y + y2
+                    acc[c] = acc.get(c, 0) + v * w
+        out.append(acc)
+    return RationalMatrix.from_rows(out, a.cols)

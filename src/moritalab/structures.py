@@ -40,7 +40,7 @@ row fails there is no derivation: a checked algebra refuses to be built
 and names a failing triple, and derivation() of an unchecked one is None,
 so callers take their exhaustive paths. Bimodule checks use the
 derivation to test identities on the generators' rows only (see
-bimodules).
+bimodules), and so do find_unit and direct_sum (proofs in their docstrings).
 """
 
 from __future__ import annotations
@@ -720,7 +720,13 @@ def semigroup_algebra(s: BrandtSemigroup) -> StructureAlgebra:
 
 
 def direct_sum(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
-    """Coordinatewise product on the disjoint union of the two bases."""
+    """Coordinatewise product on the disjoint union of the two bases.
+
+    A direct sum of associative algebras is associative, and no product
+    crosses the summands, so when both have a derivation their union, b's
+    indices shifted by a.dim, is one of the sum, which is then built
+    unchecked with it. A claimed unit is checked on every basis vector.
+    """
     labels = [f"[{l}|0]" for l in a.labels] + [f"[0|{l}]" for l in b.labels]
     structure = {}
     for (p, q), vec in a.structure.items():
@@ -732,9 +738,18 @@ def direct_sum(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     if a.unit is not None and b.unit is not None:
         unit = dict(a.unit)
         unit.update({k + off: v for k, v in b.unit.items()})
-    return StructureAlgebra(
-        a.dim + b.dim, labels, structure, unit=unit, name=f"{a.name}(+){b.name}"
-    )
+    name = f"{a.name}(+){b.name}"
+    da, db = a.derivation(), b.derivation()
+    if da is None or db is None:
+        return StructureAlgebra(a.dim + b.dim, labels, structure, unit=unit, name=name)
+    alg = StructureAlgebra(a.dim + b.dim, labels, structure, name=name, check=False)
+    alg._derivation_cache = (Derivation(
+        da.generators + tuple(s + off for s in db.generators),
+        da.steps + tuple((t + off, s + off, u + off) for t, s, u in db.steps)),)
+    if unit is not None and not alg._is_two_sided_unit(unit):
+        raise ValueError(f"claimed unit of {name} is not a two-sided identity")
+    alg.unit = unit
+    return alg
 
 
 def algebra_tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
@@ -761,15 +776,19 @@ def algebra_tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra
 
 
 def find_unit(a: StructureAlgebra) -> AlgebraElement | None:
-    """Solve u * e_p = e_p * u = e_p for all p; verify by substitution.
+    """Solve w * e_p = e_p * w = e_p; verify by substitution on every p.
 
-    The system stacks R_p (x -> x * e_p) and L_p (x -> e_p * x) for every
-    p, each block with right-hand side e_p.
+    The system stacks R_p (x -> x * e_p) and L_p (x -> e_p * x), each with
+    right-hand side e_p, for the generators p of a's derivation (every p
+    without one). They suffice: at a step t <- (s, u), by induction on u
+    and the r, w (e_s e_u) = (w e_s) e_u = e_s e_u = e_s (e_u w), and
+    c_t e_t = e_s e_u - sum c_r e_r, so w e_t = e_t = e_t w. So both
+    systems have the same solutions: the unit, if there is one.
     """
     d = a.dim
-    rows = []
-    rhs = {}
-    for p in range(d):
+    der = a.derivation()
+    rows, rhs = [], {}
+    for p in (der.generators if der is not None else range(d)):
         for m in (a.right_mult_matrix(p), a.left_mult_matrix(p)):
             rhs[len(rows) + p] = 1
             rows.extend(m._rows)

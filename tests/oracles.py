@@ -379,6 +379,23 @@ def unit_system(a):
     return rows, rhs
 
 
+def all_basis_unit(a):
+    """The unit found from every basis element, as find_unit did before it
+    used the derivation: solve the stacked R_p, L_p blocks (right-hand side
+    e_p) for every p, then keep the solution only if it is a two-sided
+    unit. None when there is none."""
+    from moritalab.exactla import LinearMap, RationalMatrix, solve
+
+    d = a.dim
+    rows, rhs = [], {}
+    for p in range(d):
+        for m in (a.right_mult_matrix(p), a.left_mult_matrix(p)):
+            rhs[len(rows) + p] = 1
+            rows.extend(m.row(r) for r in range(d))
+    u = solve(LinearMap(d, len(rows), RationalMatrix.from_rows(rows, d)), rhs)
+    return u if u is not None and is_unit(a, u) else None
+
+
 def is_unit(a, u):
     """u e_p = e_p u = e_p for every basis element, from the structure
     constants."""

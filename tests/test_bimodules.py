@@ -1,5 +1,6 @@
 """Bimodule actions, balanced tensor products, induced modules."""
 
+import dataclasses
 import gc
 import random
 from fractions import Fraction
@@ -883,3 +884,43 @@ def test_balanced_tensor_generator_failure_reports_first_failing_basis():
         with pytest.raises(ActionNotWellDefined, match=f"^{message}$"):
             balanced_tensor(e, f, a)
         assert _outcome(lambda: quotient_actions(e, f, a)) == (ActionNotWellDefined, message)
+
+
+# ------------------------------------------- one projection check per tensor
+
+
+def _patched_quotient(monkeypatch, corrupt):
+    """Make balanced_tensor's quotient return corrupt(proj rows, pivots)."""
+    real = bimodules.quotient
+
+    def patched(dim, n):
+        q = real(dim, n)
+        rows = corrupt([q.proj.matrix.row(r) for r in range(q.dim)], n.pivot_columns())
+        return dataclasses.replace(q, proj=LinearMap(dim, q.dim, RationalMatrix.from_rows(rows, dim)))
+
+    monkeypatch.setattr(bimodules, "quotient", patched)
+
+
+def test_balanced_tensor_rejects_a_projection_that_misses_the_relations(monkeypatch):
+    def corrupt(rows, pivots):
+        rows[0][pivots[0]] = rows[0].get(pivots[0], 0) + 1
+        return rows
+
+    m2 = matrix_algebra(2)
+    reg = regular_bimodule(m2)
+    _patched_quotient(monkeypatch, corrupt)
+    with pytest.raises(RuntimeError,
+                       match="^quotient projection does not vanish on the balancing subspace$"):
+        balanced_tensor(reg, reg, m2)
+
+
+def test_balanced_tensor_scaled_projection_fails_intertwining(monkeypatch):
+    # 2 proj still vanishes on N, but t = 2 proj m section gives
+    # t (2 proj) = 2 (2 proj m) != 2 proj m: only the intertwining check
+    # sees it, and pm N^T = 0 makes the error an IntertwiningError
+    m2 = matrix_algebra(2)
+    reg = regular_bimodule(m2)
+    _patched_quotient(monkeypatch, lambda rows, _: [{c: 2 * v for c, v in r.items()} for r in rows])
+    with pytest.raises(IntertwiningError,
+                       match="^map does not intertwine left action of basis 0$"):
+        balanced_tensor(reg, reg, m2)

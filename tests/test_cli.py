@@ -9,6 +9,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from moritalab import cli
 from moritalab.cli import (
     Campaign,
     ConfigError,
@@ -53,9 +54,66 @@ def test_verify_out_into_missing_directory(tmp_path, capsys):
     code = main(["verify", "--check", "lemma1", "--i", "1", "--out", str(target)])
     captured = capsys.readouterr()
     assert code == 2
-    assert "PASS" in captured.out
+    assert "PASS" not in captured.out  # refused before any check ran
     assert f"cannot write report {target}: " in captured.err
     assert not target.exists()
+
+
+def _refuse_campaign(monkeypatch):
+    def refuse(campaign):
+        raise AssertionError("the campaign ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_campaign", refuse)
+
+
+@pytest.mark.parametrize("layout, why", [
+    ("missing", "No such file or directory"),
+    ("file_parent", "Not a directory"),
+    ("directory", "Is a directory"),
+])
+def test_verify_out_fails_before_the_campaign(tmp_path, capsys, monkeypatch, layout, why):
+    (tmp_path / "plain").write_text("x")
+    target = {"missing": tmp_path / "missing" / "r.json",
+              "file_parent": tmp_path / "plain" / "r.json",
+              "directory": tmp_path}[layout]
+    _refuse_campaign(monkeypatch)
+    code = main(["verify", "--check", "lemma1", "--i", "1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write report {target}: ")
+    assert why in captured.err
+
+
+def test_verify_out_fails_before_the_campaign_in_unwritable_directory(
+        tmp_path, capsys, monkeypatch):
+    # os.access stands in for the permission bits, which do not bind root
+    target = tmp_path / "r.json"
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: path != str(tmp_path))
+    _refuse_campaign(monkeypatch)
+    code = main(["verify", "--check", "lemma1", "--i", "1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write report {target}: ")
+    assert "Permission denied" in captured.err
+    assert not target.exists()
+
+
+def test_verify_out_write_error_is_still_caught(tmp_path, capsys, monkeypatch):
+    # a failure the pre-check cannot see, raised by the write itself
+    target = tmp_path / "r.json"
+    monkeypatch.setattr(cli, "_unwritable", lambda path: None)
+
+    def fail(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "render_report_json", fail)
+    code = main(["verify", "--check", "lemma1", "--i", "1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "PASS" in captured.out
+    assert f"cannot write report {target}: " in captured.err
 
 
 def test_verify_morita_brandt_instance(capsys):
@@ -385,6 +443,16 @@ def test_jobs_flag_keeps_report_order(capsys):
     a.pop("timing")
     b.pop("timing")
     assert a == b
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded(child_env):
+    # concurrent.futures (and the logging it pulls in) is for --jobs > 1 only
+    probe = ("import sys, moritalab.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=60, env=child_env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_campaign_validation():

@@ -16,6 +16,7 @@ from moritalab.exactla import (
     _forward_echelon,
     _int_row,
     _mod2_independent,
+    _times_outer,
     binomial_span,
     image,
     inverse,
@@ -386,6 +387,45 @@ def test_kronecker_rank_multiplicative(seed=23):
         assert kr.rank() == rfg
 
 
+_entries = st.sampled_from([1, -1, 2, QQ(1, 2), QQ(-2, 3), QQ(3, 2)])
+
+
+@st.composite
+def _outer_case(draw):
+    """(a, m, n) with a square m of size d (0 allowed) and a of width d n."""
+    d, n, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+
+    def matrix(rows, cols):
+        cells = draw(st.dictionaries(st.tuples(st.integers(0, max(rows - 1, 0)),
+                                               st.integers(0, max(cols - 1, 0))),
+                                     _entries, max_size=rows * cols))
+        return RationalMatrix(rows, cols, cells if rows and cols else None)
+
+    return matrix(k, d * n), matrix(d, d), n
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_outer_case())
+def test_times_outer_matches_kronecker_product(case):
+    """The fused kernel against a @ kronecker(...) on both sides, with
+    Fraction entries whose products are often integral, and with zero
+    dimension factors on either side."""
+    a, m, n = case
+    d = m.rows
+    left = a @ kronecker(LinearMap(d, d, m), LinearMap.identity(n)).matrix
+    right = a @ kronecker(LinearMap.identity(n), LinearMap(d, d, m)).matrix
+    for side, expected in (("left", left), ("right", right)):
+        got = _times_outer(a, m, side, n)
+        assert (got.rows, got.cols) == (a.rows, a.cols)
+        assert got == expected
+        assert _integral_fractions(got) == []
+
+
+def test_times_outer_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _times_outer(RationalMatrix(1, 5), RationalMatrix.identity(2), "left", 2)
+
+
 def test_inverse_round_trip():
     m = RationalMatrix.from_rows([{0: 2, 1: 1}, {0: 1, 1: 1}], 2)
     f = LinearMap(2, 2, m)
@@ -581,6 +621,40 @@ def test_binomial_span_matches_dense_rref(case, dup, rnd):
 def test_binomial_span_cases(relations, dim):
     _check_binomial_span(4, relations)
     assert binomial_span(4, relations).dim == dim
+
+
+@pytest.mark.parametrize("relations, dim", [
+    # unions by a coefficient of +-1 that is a Fraction, or against a
+    # Fraction or integral-Fraction weight, go through the exact ratio
+    ([(0, QQ(1), 1, 3)], 1),
+    ([(0, -1, 1, QQ(1, 2)), (1, QQ(-1), 2, QQ(4, 2))], 2),
+    # +-1 unions only: e0 = e1, e1 = e2, and e2 = -e0 closes an
+    # inconsistent cycle, which kills the component
+    ([(0, 1, 1, -1), (1, 1, 2, -1), (2, 1, 0, 1)], 3),
+    ([(0, 1, 1, -1), (1, -1, 2, 1), (2, 1, 0, -1)], 2),
+    # non-unit weights: e0 = 2 e1, e1 = 2 e2, then e2 = e0 / 4 is
+    # consistent and e2 = e0 / 3 is not
+    ([(0, 2, 1, -4), (1, 3, 2, -6), (2, 1, 0, QQ(-1, 4))], 2),
+    ([(0, 2, 1, -4), (1, 3, 2, -6), (2, 1, 0, QQ(-1, 3))], 3),
+    # a +-1 union hanging a root whose component has non-unit weights
+    ([(1, 2, 2, -1), (0, 1, 2, -1), (3, -1, 0, 1)], 3),
+])
+def test_binomial_span_unit_and_non_unit_unions(relations, dim):
+    _check_binomial_span(4, relations)
+    assert binomial_span(4, relations).dim == dim
+
+
+_unit_heavy = st.sampled_from([1, -1, QQ(1), QQ(-1), 2, QQ(1, 2), QQ(6, 3)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), _unit_heavy, st.integers(0, n - 1), _unit_heavy),
+    max_size=10))))
+def test_binomial_span_unit_heavy_unions_match_dense_rref(case):
+    """Mostly +-1 coefficients, some of them Fractions, so both ways of
+    setting a union's weight run, and cycles close consistently or not."""
+    _check_binomial_span(*case)
 
 
 # ------------------------------------------------------- storage boundary

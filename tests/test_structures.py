@@ -37,7 +37,7 @@ from moritalab.structures import (
     triple_basis_iso,
 )
 
-from oracles import associativity_failures, derivation_failures
+from oracles import all_basis_unit, associativity_failures, derivation_failures, rescaled
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -345,6 +345,102 @@ def test_find_unit_rechecks_the_solution(monkeypatch, wrong):
     assert find_unit(alg).coeffs == {0: 1, 3: 1, 4: -1}
     monkeypatch.setattr(structures, "solve", lambda f, target: dict(wrong))
     assert find_unit(alg) is None
+
+
+def _non_unital_algebras():
+    """Associative algebras without a unit, and one non-associative algebra
+    built unchecked, which has no derivation, but has a unit."""
+    left_zero = StructureAlgebra(3, ["a", "b", "c"],
+                                 {(p, q): {p: 1} for p in range(3) for q in range(3)},
+                                 name="left zero")
+    # strictly upper triangular 3 x 3 matrices: e12 e23 = e13
+    nilpotent = StructureAlgebra(3, ["e12", "e13", "e23"], {(0, 2): {1: 1}}, name="nil")
+    # e0 a unit, x = e1, y = e2 with x x = y and x y = x: (x x) x = 0 != x = x (x x)
+    unital_bad = {(0, p): {p: 1} for p in range(3)}
+    unital_bad.update({(p, 0): {p: 1} for p in range(3)})
+    unital_bad.update({(1, 1): {2: 1}, (1, 2): {1: 1}})
+    bad = StructureAlgebra(3, ["1", "x", "y"], unital_bad, name="bad", check=False)
+    assert bad.derivation() is None
+    return [StructureAlgebra(2, ["x", "y"], {}, name="null"), left_zero, nilpotent, bad]
+
+
+_UNIT_ALGEBRAS = [
+    matrix_algebra(2), matrix_algebra(3), group_algebra(symmetric_group(3)),
+    contracted_brandt_algebra(2, cyclic_group(2)),
+    semigroup_algebra(brandt(1, cyclic_group(2))), semigroup_algebra(brandt(2, cyclic_group(3))),
+    direct_sum(matrix_algebra(2), scalar_algebra()),
+] + _non_unital_algebras()
+
+
+@pytest.mark.parametrize("alg", _UNIT_ALGEBRAS, ids=lambda a: a.name)
+def test_find_unit_matches_the_all_basis_system(alg):
+    unit = find_unit(alg)
+    assert (unit.coeffs if unit is not None else None) == all_basis_unit(alg)
+
+
+def test_find_unit_keeps_the_unit_of_a_non_associative_algebra():
+    bad = _non_unital_algebras()[-1]
+    assert find_unit(bad).coeffs == {0: 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(alg=st.sampled_from([a for a in _UNIT_ALGEBRAS if a.derivation() is not None]),
+       factors=st.lists(st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]),
+                        min_size=1, max_size=4))
+def test_find_unit_from_generators_on_rescaled_bases(alg, factors):
+    """Rescaled bases carry structure constants other than 1, so the
+    derivation steps divide by c_t != 1."""
+    alg = rescaled(alg, factors)
+    unit = find_unit(alg)
+    assert (unit.coeffs if unit is not None else None) == all_basis_unit(alg)
+
+
+def _checked_sum(a, b, name):
+    """The direct sum built by the checked constructor, which derives and
+    verifies its own derivation and unit."""
+    off = a.dim
+    structure = {key: dict(vec) for key, vec in a.structure.items()}
+    for (p, q), vec in b.structure.items():
+        structure[(p + off, q + off)] = {r + off: v for r, v in vec.items()}
+    unit = None
+    if a.unit is not None and b.unit is not None:
+        unit = {**a.unit, **{k + off: v for k, v in b.unit.items()}}
+    labels = [f"[{l}|0]" for l in a.labels] + [f"[0|{l}]" for l in b.labels]
+    return StructureAlgebra(a.dim + b.dim, labels, structure, unit=unit, name=name)
+
+
+@pytest.mark.parametrize("a, b", [
+    (contracted_brandt_algebra(2, cyclic_group(2)), scalar_algebra()),
+    (matrix_algebra(2), group_algebra(cyclic_group(3))),
+    (rescaled(matrix_algebra(2)), semigroup_algebra(brandt(1, cyclic_group(2)))),
+    (scalar_algebra(), _non_unital_algebras()[1]),
+    (_non_unital_algebras()[2], _non_unital_algebras()[0]),
+], ids=lambda a: a.name)
+def test_direct_sum_equals_checked_construction(a, b):
+    ds = direct_sum(a, b)
+    assert ds == _checked_sum(a, b, ds.name)
+    der = ds.derivation()
+    assert structures._derivation_holds(ds, der.generators, der.steps)
+    assert derivation_failures(ds, der) == []
+    off = a.dim
+    assert der.generators == a.derivation().generators + tuple(
+        s + off for s in b.derivation().generators)
+
+
+def test_direct_sum_rejects_a_bad_claimed_unit_with_the_checked_message():
+    m2 = matrix_algebra(2)
+    a = StructureAlgebra(m2.dim, m2.labels, m2.structure, unit={0: 1}, name="M2'", check=False)
+    message = "claimed unit of M2'(+)Q is not a two-sided identity"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _checked_sum(a, scalar_algebra(), "M2'(+)Q")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        direct_sum(a, scalar_algebra())
+
+
+def test_direct_sum_without_a_derivation_is_checked():
+    bad = _non_unital_algebras()[-1]
+    with pytest.raises(ValueError, match=r"^algebra bad\(\+\)Q is not associative at basis"):
+        direct_sum(bad, scalar_algebra())
 
 
 def test_constructor_rejects_nonassociative_structure():
