@@ -5,6 +5,11 @@ kept in reduced row echelon form, which is unique, so two subspaces are
 equal exactly when their stored bases are identical. Elimination runs on
 primitive integer rows (denominators cleared, content divided out) and
 only converts back to fractions when a canonical basis is emitted.
+
+Products, sums, linear combinations, Subspace.contains, algebra products
+and the bar composite check all run through one kernel, _accumulate,
+which stores integral values as int. Four loops that map indices as they
+go stay outside it (see its docstring).
 """
 
 from __future__ import annotations
@@ -29,28 +34,34 @@ def nrat(v):
     return f.numerator if f.denominator == 1 else f
 
 
+def _accumulate(acc: dict, coeffs: dict, table) -> dict:
+    """acc += sum_k coeffs[k] * table[k] in place, table[k] a sparse vector;
+    returns acc. Cancelled entries are dropped, integral values kept as int.
+
+    Four loops map indices as they go, which this does not, and stay
+    outside: _combine (elimination on primitive int rows), bar_complex's
+    digit-offset add, _times_outer (the Kronecker index map) and
+    binomial_span.
+    """
+    get = acc.get
+    for k, a in coeffs.items():
+        for c, w in table[k].items():
+            y = get(c, 0) + a * w
+            if y:
+                acc[c] = y if type(y) is int or y.denominator != 1 else y.numerator
+            elif c in acc:
+                del acc[c]
+    return acc
+
+
 def vec_add(u: dict, v: dict) -> dict:
     """u + v; integral Fraction sums come out as int (see nrat)."""
-    out = dict(u)
-    for k, x in v.items():
-        y = out.get(k, 0) + x
-        if y:
-            out[k] = y if type(y) is int or y.denominator != 1 else y.numerator
-        elif k in out:
-            del out[k]
-    return out
+    return _accumulate(dict(u), {0: 1}, (v,))
 
 
 def vec_sub(u: dict, v: dict) -> dict:
     """u - v; integral Fraction differences come out as int (see nrat)."""
-    out = dict(u)
-    for k, x in v.items():
-        y = out.get(k, 0) - x
-        if y:
-            out[k] = y if type(y) is int or y.denominator != 1 else y.numerator
-        elif k in out:
-            del out[k]
-    return out
+    return _accumulate(dict(u), {0: -1}, (v,))
 
 
 def vec_scale(v: dict, c) -> dict:
@@ -160,49 +171,29 @@ class RationalMatrix:
 
     def apply(self, vec: dict) -> dict:
         """Matrix times sparse column vector."""
-        out: dict = {}
-        cache = self._columns()
-        for j, x in vec.items():
-            if not x:
-                continue
-            for r, v in cache[j].items():
-                y = out.get(r, 0) + v * x
-                if y:
-                    out[r] = y
-                elif r in out:
-                    del out[r]
-        return out
+        return _accumulate({}, vec, self._columns())
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         m = RationalMatrix(self.rows, other.cols)
         orows = other._rows
-        for r, row in enumerate(self._rows):
-            acc = m._rows[r]
-            for k, v in row.items():
-                for c, w in orows[k].items():
-                    y = acc.get(c, 0) + v * w
-                    if y:
-                        acc[c] = y
-                    elif c in acc:
-                        del acc[c]
+        for row, acc in zip(self._rows, m._rows):
+            if row:
+                _accumulate(acc, row, orows)
         return m
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        m = RationalMatrix(self.rows, self.cols)
-        for r in range(self.rows):
-            m._rows[r] = vec_add(self._rows[r], other._rows[r])
-        return m
+        return self._rowwise(vec_add, other)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._rowwise(vec_sub, other)
+
+    def _rowwise(self, op, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         m = RationalMatrix(self.rows, self.cols)
-        for r in range(self.rows):
-            m._rows[r] = vec_sub(self._rows[r], other._rows[r])
+        m._rows = list(map(op, self._rows, other._rows))
         return m
 
     def scale(self, c) -> "RationalMatrix":
@@ -246,8 +237,8 @@ def linear_combination(coeffs: dict, mats) -> RationalMatrix:
         if c == 1:
             return mats[s]
     out = RationalMatrix(mats[0].rows, mats[0].cols)
-    for s, c in coeffs.items():
-        out = out + mats[s].scale(c)
+    for r, acc in enumerate(out._rows):
+        _accumulate(acc, coeffs, {s: mats[s]._rows[r] for s in coeffs})
     return out
 
 
@@ -506,17 +497,7 @@ class Subspace:
             self._pivot_rows = {min(row): row for row in self.basis._rows}
         piv = self._pivot_rows
         res = {k: x for k, x in vec.items() if x}
-        for c, x in vec.items():
-            row = piv.get(c)
-            if row is None or not x:
-                continue
-            for k, w in row.items():
-                y = res.get(k, 0) - x * w
-                if y:
-                    res[k] = y
-                elif k in res:
-                    del res[k]
-        return not res
+        return not _accumulate(res, {c: -x for c, x in vec.items() if c in piv}, piv)
 
     def __eq__(self, other) -> bool:
         return (

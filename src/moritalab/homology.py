@@ -73,6 +73,7 @@ from .exactla import (
     LinearMap,
     RationalMatrix,
     Subspace,
+    _accumulate,
     _echelon_insert,
     _forward_echelon,
     _int_row,
@@ -116,8 +117,9 @@ class NotUnitalError(ValueError):
 class ChainComplex:
     """Chain spaces C_0..C_top with boundaries b_n: C_n -> C_{n-1}.
 
-    The composite-zero law b_n b_{n+1} = 0 is verified exactly, one row of
-    the product at a time; the rank bounds that end the eliminations rest on it.
+    The composite-zero law b_n b_{n+1} = 0 is verified exactly, streaming the
+    product row by row through exactla._accumulate, never held whole; the
+    rank bounds that end the eliminations rest on it.
     certificates maps (path, n), path "col" or "row", to "bound" when the
     rank of b_n was proven by the two bounds meeting, or "exhaustive"
     when the elimination ran over every column or row.
@@ -138,15 +140,7 @@ class ChainComplex:
         for k in range(len(self.boundaries) - 1):
             later = self.boundaries[k + 1].matrix._rows
             for row in self.boundaries[k].matrix._rows:
-                acc: dict = {}  # one row of the product, dropped once checked
-                for j, v in row.items():
-                    for c, w in later[j].items():
-                        y = acc.get(c, 0) + v * w
-                        if y:
-                            acc[c] = y
-                        elif c in acc:
-                            del acc[c]
-                if acc:
+                if _accumulate({}, row, later):  # one row of the product
                     raise RuntimeError(f"boundary composite b_{k + 1} b_{k + 2} is nonzero")
 
     def boundary(self, n: int) -> LinearMap:

@@ -52,11 +52,13 @@ from dataclasses import dataclass
 from .exactla import (
     LinearMap,
     RationalMatrix,
+    _accumulate,
     linear_combination,
     nrat,
     solve,
     vec_add,
     vec_scale,
+    vec_sub,
 )
 
 
@@ -435,20 +437,9 @@ class StructureAlgebra:
         return dict(self.structure.get((p, q), {}))
 
     def mul(self, x: dict, y: dict) -> dict:
-        out: dict = {}
-        get = self.structure.get
-        for p, a in x.items():
-            for q, b in y.items():
-                vec = get((p, q))
-                if vec:
-                    ab = a * b
-                    for r, c in vec.items():
-                        z = out.get(r, 0) + ab * c
-                        if z:
-                            out[r] = z
-                        elif r in out:
-                            del out[r]
-        return out
+        st = self.structure
+        return _accumulate(
+            {}, {(p, q): a * b for p, a in x.items() for q, b in y.items() if (p, q) in st}, st)
 
     def left_mult_matrix(self, p: int) -> RationalMatrix:
         """Matrix of x -> e_p * x."""
@@ -514,7 +505,7 @@ class AlgebraElement:
 
     def __sub__(self, other):
         self._same(other)
-        return AlgebraElement(self.algebra, vec_add(self.coeffs, vec_scale(other.coeffs, -1)))
+        return AlgebraElement(self.algebra, vec_sub(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -776,22 +767,21 @@ def algebra_tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra
 
 
 def find_unit(a: StructureAlgebra) -> AlgebraElement | None:
-    """Solve w * e_p = e_p * w = e_p; verify by substitution on every p.
+    """Solve e_s * w = e_s; verify w * e_p = e_p * w = e_p on every p.
 
-    The system stacks R_p (x -> x * e_p) and L_p (x -> e_p * x), each with
-    right-hand side e_p, for the generators p of a's derivation (every p
-    without one). They suffice: at a step t <- (s, u), by induction on u
-    and the r, w (e_s e_u) = (w e_s) e_u = e_s e_u = e_s (e_u w), and
-    c_t e_t = e_s e_u - sum c_r e_r, so w e_t = e_t = e_t w. So both
-    systems have the same solutions: the unit, if there is one.
+    The system stacks L_s (x -> e_s * x), with right-hand side e_s, for the
+    generators s of a's derivation (every s without one). A solution is a
+    right unit: at a step t <- (s, u), by induction on u and the r,
+    (e_s e_u) w = e_s (e_u w) = e_s e_u and c_t e_t = e_s e_u - sum c_r e_r,
+    so e_t w = e_t. A unit 1 is the only right unit (w = 1 w = 1), so w is
+    the unit when there is one; otherwise the re-check rejects it.
     """
     d = a.dim
     der = a.derivation()
     rows, rhs = [], {}
-    for p in (der.generators if der is not None else range(d)):
-        for m in (a.right_mult_matrix(p), a.left_mult_matrix(p)):
-            rhs[len(rows) + p] = 1
-            rows.extend(m._rows)
+    for s in (der.generators if der is not None else range(d)):
+        rhs[len(rows) + s] = 1
+        rows.extend(a.left_mult_matrix(s)._rows)
     u = solve(LinearMap(d, len(rows), RationalMatrix.from_rows(rows, d)), rhs)
     if u is None or not a._is_two_sided_unit(u):
         return None

@@ -13,6 +13,7 @@ from moritalab.exactla import (
     LinearMap,
     RationalMatrix,
     Subspace,
+    _accumulate,
     _forward_echelon,
     _int_row,
     _mod2_independent,
@@ -23,14 +24,25 @@ from moritalab.exactla import (
     kernel,
     kronecker,
     l1_operator_norm,
+    linear_combination,
     quotient,
     rref,
     solve,
     subspace_equal,
+    vec_add,
+    vec_sub,
 )
-from moritalab.structures import matrix_algebra
+from moritalab.structures import StructureAlgebra, matrix_algebra, scalar_algebra
 
-from oracles import dense_rank, dense_rank_mod2, dense_rref, matrix_of_linear_map, span_contains
+from oracles import (
+    _product,
+    dense_matmul,
+    dense_rank,
+    dense_rank_mod2,
+    dense_rref,
+    matrix_of_linear_map,
+    span_contains,
+)
 
 
 def random_matrix(rng, rows, cols, density=0.5, span=5):
@@ -286,12 +298,15 @@ sparse_vectors = st.dictionaries(st.integers(0, 4), small_rationals, max_size=5)
 
 @settings(max_examples=300, deadline=None)
 @given(spanning=st.lists(sparse_vectors, max_size=5), candidate=sparse_vectors,
-       coeffs=st.lists(small_rationals, min_size=5, max_size=5), in_span=st.booleans())
-def test_contains_matches_dense_rank_oracle(spanning, candidate, coeffs, in_span):
+       coeffs=st.lists(small_rationals, min_size=5, max_size=5), in_span=st.booleans(),
+       noise=st.dictionaries(st.integers(0, 4), small_rationals, max_size=1))
+def test_contains_matches_dense_rank_oracle(spanning, candidate, coeffs, in_span, noise):
     # contains(v) holds iff appending v to the spanning set keeps the rank
     if in_span:
-        # a combination of the spanning vectors, so both answers occur often
-        combo = {}
+        # a combination of the spanning vectors (coefficients and stored
+        # entries may be 0), perhaps moved in one coordinate, so both
+        # answers occur often
+        combo = dict(noise)
         for c, vec in zip(coeffs, spanning):
             for k, x in vec.items():
                 combo[k] = combo.get(k, 0) + c * x
@@ -446,8 +461,11 @@ def test_fraction_entries_survive():
 
 
 
-def _integral_fractions(m):
-    return [v for _, _, v in m.entries() if isinstance(v, QQ) and v.denominator == 1]
+def _integral_fractions(x):
+    """The integral Fraction values of a matrix or a sparse vector; the
+    int fast path allows none."""
+    values = [v for _, _, v in x.entries()] if isinstance(x, RationalMatrix) else x.values()
+    return [v for v in values if isinstance(v, QQ) and v.denominator == 1]
 
 
 def test_scale_keeps_integral_entries_int():
@@ -464,6 +482,106 @@ def test_add_and_sub_keep_integral_entries_int():
     assert total.entry(0, 1) == QQ(2, 3)
     diff = RationalMatrix(1, 1, {(0, 0): QQ(3, 2)}) - RationalMatrix(1, 1, {(0, 0): QQ(1, 2)})
     assert diff.entry(0, 0) == 1 and type(diff.entry(0, 0)) is int
+
+
+def test_products_sums_and_algebra_mul_keep_integral_values_int():
+    half, two = RationalMatrix(1, 1, {(0, 0): QQ(1, 2)}), RationalMatrix(1, 1, {(0, 0): 2})
+    third = RationalMatrix(1, 2, {(0, 0): QQ(1, 3), (0, 1): QQ(2, 3)})
+    results = [
+        half @ two,
+        half.apply({0: 2}),
+        half.apply({0: QQ(4, 1)}),
+        RationalMatrix(2, 1, {(0, 0): QQ(3, 2), (1, 0): QQ(1, 4)}) @ RationalMatrix(
+            1, 2, {(0, 0): QQ(2, 3), (0, 1): 4}),
+        linear_combination({0: 3, 1: QQ(3, 2)}, [third, third]),
+        linear_combination({0: 2, 1: -1}, [half, half]),
+        vec_add({0: QQ(1, 2), 1: 1}, {0: QQ(1, 2), 1: QQ(1, 3)}),
+        vec_sub({0: QQ(3, 2)}, {0: QQ(1, 2), 2: QQ(-3, 3)}),
+        scalar_algebra().mul({0: QQ(1, 2)}, {0: 2}),
+        matrix_algebra(2).mul({0: QQ(2, 3), 1: QQ(1, 2)}, {0: QQ(3, 2), 2: 4}),
+    ]
+    for got in results:
+        assert _integral_fractions(got) == [], got
+    assert (half @ two).to_dense() == [[1]] and half.apply({0: 2}) == {0: 1}
+    assert scalar_algebra().mul({0: QQ(1, 2)}, {0: 2}) == {0: 1}
+
+
+def test_accumulate_adds_in_place_and_drops_cancellations():
+    acc = {0: 1, 1: QQ(1, 2)}
+    out = _accumulate(acc, {"a": 2, "b": QQ(-1, 2)}, {"a": {1: QQ(1, 4), 2: 3}, "b": {0: 2}})
+    assert out is acc
+    assert acc == {1: 1, 2: 6} and type(acc[1]) is int
+    assert _accumulate({5: 1}, {}, []) == {5: 1}
+    assert _accumulate({}, {0: 0}, [{0: 1}]) == {}
+
+
+# Fraction entries, zero values included (the constructors drop them), and
+# rows that are often empty
+_cells = st.one_of(st.just(0), small_rationals)
+
+
+def _dense_rows(rows, cols):
+    return st.lists(st.dictionaries(st.integers(0, cols - 1), _cells, max_size=cols)
+                    if cols else st.just({}), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _matmul_case(draw):
+    n, k, m = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    a = RationalMatrix.from_rows(draw(_dense_rows(n, k)), k)
+    b = RationalMatrix.from_rows(draw(_dense_rows(k, m)), m)
+    vec = draw(st.dictionaries(st.integers(0, k - 1), _cells, max_size=k))
+    return a, b, vec
+
+
+def _dense(m):
+    return [[QQ(v) for v in row] for row in m.to_dense()]
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_matmul_case())
+def test_matmul_and_apply_match_dense_oracle(case):
+    a, b, vec = case
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert _dense(prod) == dense_matmul(_dense(a), _dense(b))
+    assert _integral_fractions(prod) == []
+    column = dense_matmul(_dense(a), [[QQ(vec.get(j, 0))] for j in range(a.cols)])
+    got = a.apply(vec)
+    assert got == {r: row[0] for r, row in enumerate(column) if row[0]}
+    assert _integral_fractions(got) == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), count=st.integers(1, 4), rows=st.integers(0, 3),
+       cols=st.integers(1, 3))
+def test_linear_combination_matches_dense_oracle(data, count, rows, cols):
+    mats = [RationalMatrix.from_rows(data.draw(_dense_rows(rows, cols)), cols)
+            for _ in range(count)]
+    coeffs = data.draw(st.dictionaries(st.integers(0, count - 1), _cells, max_size=count))
+    expected = [[QQ(0)] * cols for _ in range(rows)]
+    for s, c in coeffs.items():
+        for r, c2, v in mats[s].entries():
+            expected[r][c2] += c * v
+    got = linear_combination(coeffs, mats)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert _dense(got) == expected
+    assert _integral_fractions(got) == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3))
+def test_algebra_mul_matches_structure_constant_oracle(data, dim):
+    """mul needs no associativity, so any table is built unchecked."""
+    pairs = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    table = data.draw(st.dictionaries(
+        pairs, st.dictionaries(st.integers(0, dim - 1), _cells, max_size=dim), max_size=dim * dim))
+    alg = StructureAlgebra(dim, [str(k) for k in range(dim)], table, check=False)
+    elements = st.dictionaries(st.integers(0, dim - 1), _cells, max_size=dim)
+    x, y = data.draw(elements), data.draw(elements)
+    got = alg.mul(x, y)
+    assert got == _product(alg.structure, x, y)
+    assert _integral_fractions(got) == []
 
 
 sparse_int_rows = st.integers(1, 8).flatmap(lambda width: st.lists(
@@ -696,4 +814,36 @@ def test_only_exactla_writes_matrix_storage():
                 continue
             if any(_writes_storage(t) for t in targets):
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def _enclosing_defs(tree):
+    """(qualified name of the enclosing defs, node) for every node."""
+    stack = [("", tree)]
+    while stack:
+        name, node = stack.pop()
+        yield name, node
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+            stack.append((inner, child))
+
+
+_DEL_OWNERS = {("exactla.py", "_accumulate"), ("exactla.py", "_combine"),
+               ("homology.py", "bar_complex")}
+
+
+def test_only_the_accumulate_kernel_deletes_cancelled_entries():
+    """One sparse accumulate kernel: a del of a dict item (a cancelled
+    entry) appears only in exactla._accumulate and the index-mapping
+    loops of the elimination engine and the bar build."""
+    src = pathlib.Path(moritalab.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for name, node in _enclosing_defs(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Delete)
+                    and any(isinstance(t, ast.Subscript) for t in node.targets)
+                    and (path.name, name.split(".")[0]) not in _DEL_OWNERS):
+                offenders.append(f"{path.name}:{node.lineno} in {name or '<module>'}")
     assert offenders == []

@@ -353,6 +353,11 @@ def _non_unital_algebras():
     left_zero = StructureAlgebra(3, ["a", "b", "c"],
                                  {(p, q): {p: 1} for p in range(3) for q in range(3)},
                                  name="left zero")
+    # every e_p is a left unit and none a right unit: e_s w = w, so the
+    # system e_s w = e_s over the generators has no solution
+    right_zero = StructureAlgebra(3, ["a", "b", "c"],
+                                  {(p, q): {q: 1} for p in range(3) for q in range(3)},
+                                  name="right zero")
     # strictly upper triangular 3 x 3 matrices: e12 e23 = e13
     nilpotent = StructureAlgebra(3, ["e12", "e13", "e23"], {(0, 2): {1: 1}}, name="nil")
     # e0 a unit, x = e1, y = e2 with x x = y and x y = x: (x x) x = 0 != x = x (x x)
@@ -361,7 +366,8 @@ def _non_unital_algebras():
     unital_bad.update({(1, 1): {2: 1}, (1, 2): {1: 1}})
     bad = StructureAlgebra(3, ["1", "x", "y"], unital_bad, name="bad", check=False)
     assert bad.derivation() is None
-    return [StructureAlgebra(2, ["x", "y"], {}, name="null"), left_zero, nilpotent, bad]
+    return [StructureAlgebra(2, ["x", "y"], {}, name="null"), left_zero, nilpotent, right_zero,
+            bad]
 
 
 _UNIT_ALGEBRAS = [
