@@ -1,12 +1,13 @@
 """Brandt semigroup algebras over the same group are Morita equivalent.
 
 The witness bimodules are spans of rectangular triples (one index from
-each side) with convolution actions, padded by one extra line for the
-scalar summand and transported through the splitting bijections so the
-statement is about the semigroup algebras themselves. Verification
-re-derives all four conditions from scratch: both modules two-sided
-induced, both balanced products isomorphic to the target algebras via
-the stored maps.
+each side) plus one star line, built directly over the semigroup
+algebras: a triple acts by convolution on the rectangle and as the
+identity on the star line, the zero acts on the star line alone. These
+are the rectangle actions of the triple algebras moved through the
+splitting (demo 03). Verification re-derives all four conditions from
+scratch: both modules two-sided induced, both balanced products
+isomorphic to the target algebras via the stored maps.
 """
 
 import time

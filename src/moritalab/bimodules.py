@@ -88,13 +88,13 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .exactla import (
     LinearMap,
     RationalMatrix,
     Subspace,
+    _ratio,
     _times_outer,
     binomial_span,
     inverse,
@@ -570,11 +570,12 @@ def _generator_actions(e: Bimodule, f: Bimodule, action) -> dict | None:
             return None
         for t, s, u in der.steps:
             coeffs = alg.structure[(s, u)]
-            acc = acts[s] @ acts[u] if side == "left" else acts[u] @ acts[s]
-            for r, c in coeffs.items():
-                if r != t:
-                    acc = acc - acts[r].scale(c)
-            acts[t] = acc.scale(Fraction(1, coeffs[t]))
+            ct = coeffs[t]
+            # the product sits in the free slot t until T_t replaces it
+            acts[t] = acts[s] @ acts[u] if side == "left" else acts[u] @ acts[s]
+            acts[t] = linear_combination(
+                {t: _ratio(1, ct), **{r: _ratio(-c, ct) for r, c in coeffs.items() if r != t}},
+                acts)
         out[side] = acts
     return out
 
@@ -627,12 +628,9 @@ def is_induced(e: Bimodule) -> InducedFlags:
 
 def is_self_induced(a: StructureAlgebra) -> bool:
     """Whether multiplication descends to a bijection from the balanced
-    tensor square of the algebra onto the algebra."""
-    reg = regular_bimodule(a)
-    bt = balanced_tensor(reg, reg, a)
-    raw = LinearMap.from_cols(
-        [a.structure.get((p, q), {}) for p in range(a.dim) for q in range(a.dim)], a.dim)
-    return induced_map(bt, raw, reg).is_bijective()
+    tensor square of the algebra onto the algebra: the collapse map of
+    the regular bimodule, whose column (p, q) is e_p e_q."""
+    return mu_map(regular_bimodule(a)).is_bijective()
 
 
 def dual_bimodule(e: Bimodule) -> Bimodule:

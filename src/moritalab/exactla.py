@@ -231,12 +231,15 @@ class RationalMatrix:
 
 def linear_combination(coeffs: dict, mats) -> RationalMatrix:
     """sum_s coeffs[s] * mats[s], all of one shape; a single term with
-    coefficient 1 is the matrix mats[s] itself."""
+    coefficient 1 is the matrix mats[s] itself. The shape is read from the
+    first matrix coeffs names (mats[0] when coeffs is empty), so the other
+    entries of mats may be unset."""
     if len(coeffs) == 1:
         (s, c), = coeffs.items()
         if c == 1:
             return mats[s]
-    out = RationalMatrix(mats[0].rows, mats[0].cols)
+    shape = mats[next(iter(coeffs), 0)]
+    out = RationalMatrix(shape.rows, shape.cols)
     for r, acc in enumerate(out._rows):
         _accumulate(acc, coeffs, {s: mats[s]._rows[r] for s in coeffs})
     return out

@@ -6,6 +6,11 @@ together with bijective bimodule maps from the balanced products
 P (x)_A Q and Q (x)_B P onto B and A. verify_witness re-derives every
 one of those conditions from scratch, so a corrupted input is caught no
 matter how it was produced.
+
+The full Brandt witness is built in closed form over the semigroup
+algebras: the contracted-algebra witness moved through the splitting
+theta, written out (witness_brandt_full). split_sequence certifies theta
+as a claim of its own; no witness builder calls it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .exactla import (
     inverse,
     kernel,
     l1_operator_norm,
-    linear_combination,
     subspace_equal,
 )
 from .bimodules import (
@@ -174,7 +178,13 @@ def verify_witness(wit: MoritaWitness) -> WitnessReport:
     return WitnessReport(conditions=[cond_p, cond_q, cond_pq, cond_qp])
 
 
-def _certify(wit: MoritaWitness) -> MoritaWitness:
+def _certify(a: StructureAlgebra, b: StructureAlgebra, p: Bimodule, q: Bimodule,
+             raw_pq: LinearMap, raw_qp: LinearMap) -> MoritaWitness:
+    """Descend the pairings raw_pq on P (x) Q and raw_qp on Q (x) P to the
+    balanced products, and certify the witness (verify_witness)."""
+    iso_pq = induced_map(balanced_tensor(p, q, a), raw_pq, regular_bimodule(b))
+    iso_qp = induced_map(balanced_tensor(q, p, b), raw_qp, regular_bimodule(a))
+    wit = MoritaWitness(a, b, p, q, iso_pq, iso_qp)
     report = verify_witness(wit)
     if not report.passed:
         bad = next(c for c in report.conditions if not c.passed)
@@ -209,11 +219,7 @@ def witness_matrix_vs_scalars(index_size: int) -> MoritaWitness:
     b = scalar_algebra()
     p = row_module(n)
     q = column_module(n)
-    bt_pq = balanced_tensor(p, q, a)
-    iso_pq = induced_map(bt_pq, trace_pairing(n), regular_bimodule(b))
-    bt_qp = balanced_tensor(q, p, b)
-    iso_qp = induced_map(bt_qp, _rect_pairing(n, 1, n, cyclic_group(1)), regular_bimodule(a))
-    return _certify(MoritaWitness(a, b, p, q, iso_pq, iso_qp))
+    return _certify(a, b, p, q, trace_pairing(n), _rect_pairing(n, 1, n, cyclic_group(1)))
 
 
 @dataclass
@@ -340,14 +346,18 @@ def split_sequence(index_size: int, g: FiniteGroup) -> SplitSequence:
     )
 
 
+def _rect_labels(left_n: int, right_n: int, g: FiniteGroup) -> list[str]:
+    return [
+        f"({l},{g.names[gi]},{r})"
+        for l in range(1, left_n + 1) for gi in range(g.order) for r in range(1, right_n + 1)
+    ]
+
+
 def _rect_module(left_n: int, right_n: int, g: FiniteGroup,
                  left_alg: StructureAlgebra, right_alg: StructureAlgebra) -> Bimodule:
     """Triples (l, g, r) with convolution actions of the two contracted
     algebras (bimodules._rect_actions)."""
-    labels = [
-        f"({l},{g.names[gi]},{r})"
-        for l in range(1, left_n + 1) for gi in range(g.order) for r in range(1, right_n + 1)
-    ]
+    labels = _rect_labels(left_n, right_n, g)
     if left_alg.dim != left_n * g.order * left_n or right_alg.dim != right_n * g.order * right_n:
         raise ValueError("algebra dimensions do not match the rectangle sides")
     return Bimodule(
@@ -365,85 +375,69 @@ def witness_brandt_contracted(i_size: int, j_size: int, g: FiniteGroup) -> Morit
     b = contracted_brandt_algebra(j_size, g)
     p = _rect_module(j_size, i_size, g, b, a)
     q = _rect_module(i_size, j_size, g, a, b)
-    bt_pq = balanced_tensor(p, q, a)
-    iso_pq = induced_map(bt_pq, _rect_pairing(j_size, i_size, j_size, g), regular_bimodule(b))
-    bt_qp = balanced_tensor(q, p, b)
-    iso_qp = induced_map(bt_qp, _rect_pairing(i_size, j_size, i_size, g), regular_bimodule(a))
-    return _certify(MoritaWitness(a, b, p, q, iso_pq, iso_qp))
+    return _certify(a, b, p, q, _rect_pairing(j_size, i_size, j_size, g),
+                    _rect_pairing(i_size, j_size, i_size, g))
 
 
-def _star_block(dim: int) -> RationalMatrix:
-    return RationalMatrix(dim, dim, {(dim - 1, dim - 1): 1})
-
-
-def _transport_actions(base_actions, theta: LinearMap):
-    """Actions of the semigroup algebra obtained by pushing its basis
-    through theta into the direct sum and combining the sum actions."""
-    return [linear_combination(theta.col(s), base_actions) for s in range(theta.source_dim)]
+def _full_actions(rect_actions, dim: int) -> list[RationalMatrix]:
+    """The actions of the semigroup algebra on the rectangle plus a star
+    line (index dim - 1): a triple acts by its rectangle action plus the
+    identity on the star line, the zero (last) by the star line alone."""
+    star = RationalMatrix(dim, dim, {(dim - 1, dim - 1): 1})
+    return [_extend_block(m, dim) + star for m in rect_actions] + [star]
 
 
 def _full_pairing(left_dim: int, right_dim: int, rect_pairing: LinearMap,
-                  split_out: SplitSequence) -> LinearMap:
-    """Pair rectangle with rectangle by convolution and star with star into
-    the scalar line, then pull back along the splitting: the pair
-    (pcol, qcol) of the two padded modules is column pcol * right_dim + qcol."""
-    theta_inv = split_out.theta_inv
+                  zero: int) -> LinearMap:
+    """Pair rectangle with rectangle by convolution, a product t going to
+    t - 0 (0 the semigroup zero, basis index zero), and star with star to
+    0; the pair (pcol, qcol) of the two padded modules is column
+    pcol * right_dim + qcol."""
     inner = right_dim - 1
     cols = []
     for pcol in range(left_dim - 1):
-        cols += [theta_inv.apply(rect_pairing.col(pcol * inner + qcol)) for qcol in range(inner)]
+        for qcol in range(inner):
+            col = rect_pairing.col(pcol * inner + qcol)
+            cols.append({**col, zero: -sum(col.values())})    # from_cols drops a 0
         cols.append({})
-    cols += [{}] * inner + [theta_inv.apply({split_out.contracted.dim: 1})]
-    return LinearMap.from_cols(cols, split_out.semigroup.dim)
+    cols += [{}] * inner + [{zero: 1}]
+    return LinearMap.from_cols(cols, zero + 1)
 
 
 def witness_brandt_full(i_size: int, j_size: int, g: FiniteGroup) -> MoritaWitness:
-    """Witness between the full semigroup algebras of two Brandt semigroups
-    over the same group.
+    """Witness between the full semigroup algebras l1(B(I,G)) and
+    l1(B(J,G)) of two Brandt semigroups over the same group, |I| = i_size
+    and |J| = j_size.
 
-    The rectangle witness between the contracted algebras is padded with
-    one extra basis line on which only the scalar summands act, and the
-    direct-sum actions are transported through the splitting bijections
-    so that the final statement is about the semigroup algebras
-    themselves.
+    P is the J x G x I rectangle plus a star line *, Q the I x G x J one.
+    A triple t acts on either side by its rectangle convolution plus the
+    identity on *, and the zero 0 by the projection onto * alone; the
+    pairings send a rectangle product t to t - 0 and * (x) * to 0.
+
+    Why this is the transported witness: the splitting theta: l1(B) ->
+    l1(T) (+) C has theta(t) = (t, 1) and theta(0) = (0, 1), and its
+    inverse sends (t, 0) to t - 0 and (0, 1) to 0. Pad the rectangle
+    witness of the contracted algebras l1(T) with * on which only the
+    scalar summand acts; then theta(t) acts by t on the rectangle and by
+    1 on *, and theta(0) by 1 on * alone, which are the actions above,
+    and the padded pairings followed by theta's inverse are the pairings
+    above. Nothing here rests on that argument: verify_witness
+    re-derives all four conditions.
     """
-    split_i = split_sequence(i_size, g)
-    split_j = split_sequence(j_size, g)
-    a_full, b_full = split_i.semigroup, split_j.semigroup
-    a_con, b_con = split_i.contracted, split_j.contracted
+    s_i, s_j = brandt(i_size, g), brandt(j_size, g)
+    a, b = semigroup_algebra(s_i), semigroup_algebra(s_j)
+    dim = i_size * g.order * j_size + 1    # P and Q alike
 
-    p_rect = _rect_module(j_size, i_size, g, b_con, a_con)
-    q_rect = _rect_module(i_size, j_size, g, a_con, b_con)
-    pd = p_rect.dim + 1
-    qd = q_rect.dim + 1
+    def module(left_n, right_n, left_alg, right_alg, name):
+        return Bimodule(
+            left_alg, right_alg, dim,
+            *(_full_actions(acts, dim) for acts in _rect_actions(left_n, right_n, g)),
+            labels=_rect_labels(left_n, right_n, g) + ["*"],
+            name=f"{name}({i_size},{j_size},{g.name})",
+        )
 
-    # direct-sum actions: contracted part acts on the rectangle block, the
-    # scalar line acts on the star line, cross actions vanish
-    p_left_sum = [_extend_block(m, pd) for m in p_rect.left_action] + [_star_block(pd)]
-    p_right_sum = [_extend_block(m, pd) for m in p_rect.right_action] + [_star_block(pd)]
-    q_left_sum = [_extend_block(m, qd) for m in q_rect.left_action] + [_star_block(qd)]
-    q_right_sum = [_extend_block(m, qd) for m in q_rect.right_action] + [_star_block(qd)]
-
-    p = Bimodule(
-        b_full, a_full, pd,
-        _transport_actions(p_left_sum, split_j.theta),
-        _transport_actions(p_right_sum, split_i.theta),
-        labels=list(p_rect.labels) + ["*"],
-        name=f"P({i_size},{j_size},{g.name})",
-    )
-    q = Bimodule(
-        a_full, b_full, qd,
-        _transport_actions(q_left_sum, split_i.theta),
-        _transport_actions(q_right_sum, split_j.theta),
-        labels=list(q_rect.labels) + ["*"],
-        name=f"Q({i_size},{j_size},{g.name})",
-    )
-
-    raw_pq = _full_pairing(pd, qd, _rect_pairing(j_size, i_size, j_size, g), split_j)
-    raw_qp = _full_pairing(qd, pd, _rect_pairing(i_size, j_size, i_size, g), split_i)
-
-    bt_pq = balanced_tensor(p, q, a_full)
-    iso_pq = induced_map(bt_pq, raw_pq, regular_bimodule(b_full))
-    bt_qp = balanced_tensor(q, p, b_full)
-    iso_qp = induced_map(bt_qp, raw_qp, regular_bimodule(a_full))
-    return _certify(MoritaWitness(a_full, b_full, p, q, iso_pq, iso_qp))
+    p = module(j_size, i_size, b, a, "P")
+    q = module(i_size, j_size, a, b, "Q")
+    raw_pq = _full_pairing(dim, dim, _rect_pairing(j_size, i_size, j_size, g), s_j.zero_index)
+    raw_qp = _full_pairing(dim, dim, _rect_pairing(i_size, j_size, i_size, g), s_i.zero_index)
+    return _certify(a, b, p, q, raw_pq, raw_qp)

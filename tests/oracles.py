@@ -740,9 +740,9 @@ def triple_basis_iso(n, g):
     return LinearMap(dim, dim, fwd), LinearMap(dim, dim, bwd)
 
 
-# The split sequence, the padded pairings and the random change of basis
-# written entry by entry: the references for the column-list builders in
-# morita and bimodules.
+# The split sequence, the padded pairings, the modules transported through
+# the splitting and the random change of basis written entry by entry: the
+# references for the column-list builders in morita and bimodules.
 
 
 def split_maps(nt, ns, z):
@@ -792,6 +792,42 @@ def full_pairing(left_dim, right_dim, rect_pairing, split_out):
     for r, v in theta_inv.apply({nt: 1}).items():
         m._rows[r][(left_dim - 1) * right_dim + (right_dim - 1)] = v
     return LinearMap(left_dim * right_dim, ns, m)
+
+
+def transported_full_modules(i, j, g):
+    """P and Q of the full witness between l1(B(i, G)) and l1(B(j, G)) by
+    the route of the paper: the rectangle modules of the contracted
+    algebras, padded by a star line on which only the scalar summand acts,
+    give modules over l1(T) (+) C, and each basis element s of l1(B) acts
+    as theta(s) does, theta from split_sequence, summed entry by entry."""
+    from moritalab.bimodules import Bimodule
+    from moritalab.exactla import RationalMatrix
+    from moritalab.morita import split_sequence
+
+    split_i, split_j = split_sequence(i, g), split_sequence(j, g)
+    dim = i * g.order * j + 1
+
+    def transported(rect, split):
+        star = RationalMatrix(dim, dim)
+        star._rows[dim - 1][dim - 1] = 1
+        sum_actions = [extend_block(m, dim) for m in rect] + [star]
+        out = []
+        for s in range(split.semigroup.dim):
+            rows = [{} for _ in range(dim)]
+            for k, c in split.theta.col(s).items():
+                for r, row in enumerate(sum_actions[k]._rows):
+                    for col, v in row.items():
+                        rows[r][col] = rows[r].get(col, 0) + c * v
+            out.append(RationalMatrix.from_rows(rows, dim))
+        return out
+
+    p_left, p_right = rect_actions(j, i, g)
+    q_left, q_right = rect_actions(i, j, g)
+    p = Bimodule(split_j.semigroup, split_i.semigroup, dim,
+                 transported(p_left, split_j), transported(p_right, split_i))
+    q = Bimodule(split_i.semigroup, split_j.semigroup, dim,
+                 transported(q_left, split_i), transported(q_right, split_j))
+    return p, q
 
 
 def extend_block(m, dim):

@@ -247,8 +247,10 @@ def test_full_witness_one_two_c1():
 def test_full_pairings_match_entry_by_entry_reference(i, j, g):
     split_i, split_j = split_sequence(i, g), split_sequence(j, g)
     pd = qd = i * g.order * j + 1
-    raw_pq = _full_pairing(pd, qd, _rect_pairing(j, i, j, g), split_j)
-    raw_qp = _full_pairing(qd, pd, _rect_pairing(i, j, i, g), split_i)
+    zero_i = split_i.brandt_semigroup.zero_index
+    zero_j = split_j.brandt_semigroup.zero_index
+    raw_pq = _full_pairing(pd, qd, _rect_pairing(j, i, j, g), zero_j)
+    raw_qp = _full_pairing(qd, pd, _rect_pairing(i, j, i, g), zero_i)
     assert raw_pq == oracles.full_pairing(pd, qd, _rect_pairing(j, i, j, g), split_j)
     assert raw_qp == oracles.full_pairing(qd, pd, _rect_pairing(i, j, i, g), split_i)
     # and these are the pairings the witness descends to its isomorphisms
@@ -258,6 +260,31 @@ def test_full_pairings_match_entry_by_entry_reference(i, j, g):
                                        regular_bimodule(b)).map
     assert w.iso_qp.map == induced_map(balanced_tensor(w.q, w.p, b), raw_qp,
                                        regular_bimodule(a)).map
+
+
+@pytest.mark.parametrize("i,j,g", [(1, 1, cyclic_group(1)), (1, 2, symmetric_group(3)),
+                                   (2, 3, cyclic_group(3)), (3, 2, cyclic_group(2))],
+                         ids=["1-1-C1", "1-2-S3", "2-3-C3", "3-2-C2"])
+def test_full_witness_modules_are_the_theta_transport(i, j, g):
+    # the closed-form actions are the padded direct-sum actions moved
+    # through the certified splitting
+    w = witness_brandt_full(i, j, g)
+    p, q = oracles.transported_full_modules(i, j, g)
+    assert w.p == p
+    assert w.q == q
+
+
+def test_full_witness_builds_without_the_splitting(monkeypatch):
+    import moritalab.morita as morita_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the full witness must not build the splitting")
+
+    for name in ("split_sequence", "contracted_brandt_algebra", "scalar_algebra", "direct_sum"):
+        monkeypatch.setattr(morita_mod, name, forbidden)
+    w = witness_brandt_full(2, 3, cyclic_group(3))
+    assert (w.algebra_a.dim, w.algebra_b.dim, w.p.dim) == (13, 28, 19)
+    assert verify_witness(w).passed
 
 
 def test_full_witness_swap_is_still_verified():
@@ -309,6 +336,39 @@ def test_fault_corrupted_action_detected():
     assert rep.condition("q_two_sided_induced").passed
     assert rep.condition("pq_tensor_iso").passed
     assert rep.condition("qp_tensor_iso").passed
+
+
+def _without_unit(real):
+    def build(s):
+        alg = real(s)
+        alg.unit = None
+        return alg
+    return build
+
+
+def _with_zero_as_unit(real):
+    # the zero point mass is no unit; built unchecked so the claim stands
+    def build(s):
+        alg = real(s)
+        return StructureAlgebra(alg.dim, alg.labels, alg.structure, unit={s.zero_index: 1},
+                                name=alg.name, check=False)
+    return build
+
+
+@pytest.mark.parametrize("target,fake,condition", [
+    ("inverse", lambda real: lambda f: None, "theta_bijective"),
+    ("inverse", lambda real: lambda f: LinearMap.zero(f.target_dim, f.source_dim),
+     "theta_inverse_formula"),
+    ("semigroup_algebra", _without_unit, "semigroup_unit"),
+    ("semigroup_algebra", _with_zero_as_unit, "unit_formula"),
+], ids=["no-inverse", "wrong-inverse", "no-unit", "wrong-unit"])
+def test_split_sequence_guards_fire(monkeypatch, target, fake, condition):
+    import moritalab.morita as morita_mod
+
+    monkeypatch.setattr(morita_mod, target, fake(getattr(morita_mod, target)))
+    with pytest.raises(VerificationFailed) as err:
+        split_sequence(2, cyclic_group(2))
+    assert err.value.condition == condition
 
 
 def test_constructors_raise_verification_failed_on_bad_internal_data(monkeypatch):
