@@ -71,6 +71,18 @@ The regular module of an algebra with a derivation is built unchecked
 with both records set: its axioms are associativity at every basis
 triple, which the derivation proves (structures).
 
+A module is proven when check_axioms returned [] (the constructor check
+included), or when regular_bimodule or balanced_tensor set both records
+above. is_induced reads that:
+
+* Induced-ness from the unit. Let A have unit u and E be a proven left
+  module. The collapse mu: A (x)_A E -> E is bijective exactly when
+  sum_p u_p L_p = I. If so, sigma(x) = [u (x) x] inverts mu: mu sigma(x)
+  = u.x = x and sigma mu [a (x) x] = [u (x) a.x] = [ua (x) x] =
+  [a (x) x]. Conversely, if mu is onto, x = sum a_i.x_i, so u.x =
+  sum (u a_i).x_i = x. The right side is the mirror. Without a unit,
+  or on a module not proven, mu is built and its rank taken.
+
 The modules of semigroups and S-sets have monomial actions, and N then
 needs no elimination:
 
@@ -87,7 +99,7 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .exactla import (
@@ -128,7 +140,7 @@ class Bimodule:
     """
 
     __slots__ = ("left_algebra", "right_algebra", "dim", "left_action", "right_action",
-                 "labels", "name", "_row_checks", "__weakref__")
+                 "labels", "name", "_row_checks", "_proven", "__weakref__")
 
     def __init__(self, left_algebra, right_algebra, dim, left_action, right_action,
                  labels=None, name="E", check=True):
@@ -147,6 +159,9 @@ class Bimodule:
         self.labels = tuple(labels) if labels else tuple(f"x{k}" for k in range(dim))
         self.name = name
         self._row_checks = {}
+        # whether every axiom is proven: by check_axioms, or where a
+        # construction proves them (regular_bimodule, balanced_tensor)
+        self._proven = False
         if check:
             bad = self.check_axioms(stop_early=True)
             if bad:
@@ -165,13 +180,16 @@ class Bimodule:
         commutation on S_A x S_B are checked first; if they all hold,
         every pair holds (module docstring). Any failure there falls
         through to the full enumeration, which gives the violation list.
+        An empty list marks the module proven (is_induced).
         """
         self._row_checks.clear()
+        self._proven = False
         A, B = self.left_algebra, self.right_algebra
         left, right = self.left_action, self.right_action
         if self._rows_hold("left") and self._rows_hold("right") and all(
                 left[s] @ right[t] == right[t] @ left[s]
                 for s in A.derivation().generators for t in B.derivation().generators):
+            self._proven = True
             return []
         out = []
         for p, q in product(range(A.dim), range(A.dim)):
@@ -189,6 +207,7 @@ class Bimodule:
                 out.append(f"actions do not commute at basis pair ({p},{q})")
                 if stop_early:
                     return out
+        self._proven = not out
         return out
 
     def _rows_hold(self, side: str) -> bool:
@@ -317,6 +336,7 @@ def regular_bimodule(a: StructureAlgebra) -> Bimodule:
         mod = Bimodule(a, a, a.dim, left, right, labels=a.labels, name=a.name, check=not proven)
         if proven:
             mod._row_checks.update(left=True, right=True)
+            mod._proven = True
         a._regular_cache = weakref.ref(mod)
     return mod
 
@@ -379,9 +399,10 @@ def index_space_induced(index_size: int) -> InducedFlags:
     half is certified on the column module and the right half on the row
     module.
     """
-    left = mu_map(column_module(index_size)).is_bijective()
-    right = mirror_mu_map(row_module(index_size)).is_bijective()
-    return InducedFlags(left=left, right=right, two_sided=left and right)
+    col = is_induced(column_module(index_size))
+    row = is_induced(row_module(index_size))
+    return InducedFlags(left=col.left, right=row.right, two_sided=col.left and row.right,
+                        certificate=(col.certificate[0], row.certificate[1]))
 
 
 def trace_pairing(index_size: int) -> LinearMap:
@@ -547,6 +568,7 @@ def balanced_tensor(e: Bimodule, f: Bimodule, over: StructureAlgebra) -> Balance
     )
     if action_certificate == "generators":
         small._row_checks.update(left=True, right=True)
+        small._proven = True
     return BalancedTensor(module=small, proj=q.proj, section=q.section, relations=rel,
                           certificate=certificate, action_certificate=action_certificate)
 
@@ -614,16 +636,49 @@ def mirror_mu_map(e: Bimodule) -> BimoduleMap:
 
 @dataclass(frozen=True)
 class InducedFlags:
+    """is_induced's answer per side. certificate names the route of each
+    side, left then right: "unit" or "collapse" (is_induced); None on
+    flags built by hand. It takes no part in equality."""
+
     left: bool
     right: bool
     two_sided: bool
+    certificate: tuple[str, str] | None = field(default=None, compare=False)
 
 
 def is_induced(e: Bimodule) -> InducedFlags:
-    """Whether the left and right collapse maps are bijective."""
-    left = mu_map(e).is_bijective()
-    right = mirror_mu_map(e).is_bijective()
-    return InducedFlags(left=left, right=right, two_sided=left and right)
+    """Whether the left and right collapse maps are bijective.
+
+    Let A be a side's algebra with unit u, and let e's axioms be proven
+    (e._proven). Then mu: A (x)_A E -> E, a (x) x -> a.x, is bijective
+    exactly when u acts as the identity, sum_p u_p L_p = I:
+
+    * (<=) sigma(x) = [u (x) x] inverts mu: mu sigma(x) = u.x = x, and
+      sigma mu [a (x) x] = [u (x) a.x] = [ua (x) x] = [a (x) x], by a
+      balancing relation.
+    * (=>) If mu is onto, x = sum a_i.x_i, so u.x = sum (u a_i).x_i = x.
+
+    The right side is the mirror, with R_p and x (x) b -> x.b. Such a side
+    is certified by that one comparison ("unit"). A side without a unit,
+    or a module whose axioms are not proven, builds the collapse map
+    (mu_map, mirror_mu_map) and asks whether it is bijective
+    ("collapse"), so a broken module raises what those raise.
+    """
+    left, left_route = _induced_side(e, "left")
+    right, right_route = _induced_side(e, "right")
+    return InducedFlags(left=left, right=right, two_sided=left and right,
+                        certificate=(left_route, right_route))
+
+
+def _induced_side(e: Bimodule, side: str) -> tuple[bool, str]:
+    """One side of is_induced, with the route it took."""
+    if side == "left":
+        unit, actions, collapse = e.left_algebra.unit, e.left_action, mu_map
+    else:
+        unit, actions, collapse = e.right_algebra.unit, e.right_action, mirror_mu_map
+    if e._proven and unit:
+        return linear_combination(unit, actions) == RationalMatrix.identity(e.dim), "unit"
+    return collapse(e).is_bijective(), "collapse"
 
 
 def is_self_induced(a: StructureAlgebra) -> bool:
@@ -650,7 +705,16 @@ def dual_bimodule(e: Bimodule) -> Bimodule:
 
 def induced_completion(a: StructureAlgebra, f: Bimodule) -> Bimodule:
     """Sandwich f between two balanced copies of the algebra; the result is
-    certified two-sided induced before it is returned."""
+    certified two-sided induced before it is returned.
+
+    For a unital algebra A (x)_A F (x)_A A is isomorphic to uFu, but the
+    completion stays on balanced tensors: the free coordinates of the
+    quotient form a monomial basis, and that basis keeps the bar complex
+    over the result cheap. Built from the image of L_u R_u instead, the
+    completed random module over l1(B(2,C3)) had 3,655 action entries
+    with numerators up to 2,589 instead of 338 entries of +-1, and the
+    degree-2 bar build took 31 s instead of 0.12 s.
+    """
     if f.left_algebra != a or f.right_algebra != a:
         raise ValueError("module is not a bimodule over the given algebra")
     reg = regular_bimodule(a)

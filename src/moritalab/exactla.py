@@ -196,18 +196,6 @@ class RationalMatrix:
         m._rows = list(map(op, self._rows, other._rows))
         return m
 
-    def scale(self, c) -> "RationalMatrix":
-        """c times the matrix; integral entries come out as int (see nrat)."""
-        c = nrat(c)
-        m = RationalMatrix(self.rows, self.cols)
-        if c:
-            for r, row in enumerate(self._rows):
-                out = m._rows[r]
-                for j, v in row.items():
-                    y = c * v
-                    out[j] = y if type(y) is int or y.denominator != 1 else y.numerator
-        return m
-
     def is_zero(self) -> bool:
         return all(not row for row in self._rows)
 

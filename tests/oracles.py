@@ -356,6 +356,31 @@ def rescaled(a, factors=SCALES):
     return StructureAlgebra(a.dim, a.labels, structure, name=f"{a.name}'")
 
 
+def non_unital_algebras():
+    """Associative algebras without a unit, and one non-associative algebra
+    built unchecked, which has no derivation, but has a unit."""
+    from moritalab.structures import StructureAlgebra
+
+    left_zero = StructureAlgebra(3, ["a", "b", "c"],
+                                 {(p, q): {p: 1} for p in range(3) for q in range(3)},
+                                 name="left zero")
+    # every e_p is a left unit and none a right unit: e_s w = w, so the
+    # system e_s w = e_s over the generators has no solution
+    right_zero = StructureAlgebra(3, ["a", "b", "c"],
+                                  {(p, q): {q: 1} for p in range(3) for q in range(3)},
+                                  name="right zero")
+    # strictly upper triangular 3 x 3 matrices: e12 e23 = e13
+    nilpotent = StructureAlgebra(3, ["e12", "e13", "e23"], {(0, 2): {1: 1}}, name="nil")
+    # e0 a unit, x = e1, y = e2 with x x = y and x y = x: (x x) x = 0 != x = x (x x)
+    unital_bad = {(0, p): {p: 1} for p in range(3)}
+    unital_bad.update({(p, 0): {p: 1} for p in range(3)})
+    unital_bad.update({(1, 1): {2: 1}, (1, 2): {1: 1}})
+    bad = StructureAlgebra(3, ["1", "x", "y"], unital_bad, name="bad", check=False)
+    assert bad.derivation() is None
+    return [StructureAlgebra(2, ["x", "y"], {}, name="null"), left_zero, nilpotent, right_zero,
+            bad]
+
+
 def unit_system(a):
     """Rows and right-hand side of u e_p = e_p u = e_p for all p: for each
     p and output coordinate r, the row sum_q u_q (e_q e_p)_r, then the row

@@ -21,6 +21,7 @@ from moritalab.structures import (
     StructureAlgebra,
     brandt,
     cyclic_group,
+    find_unit,
     group_algebra,
     matrix_algebra,
     scalar_algebra,
@@ -31,6 +32,7 @@ from moritalab.bimodules import (
     Bimodule,
     BimoduleAxiomError,
     BimoduleMap,
+    InducedFlags,
     IntertwiningError,
     balanced_tensor,
     balancing_subspace,
@@ -50,13 +52,14 @@ from moritalab.bimodules import (
     trace_pairing,
     _extend_block,
 )
-from moritalab.morita import witness_brandt_full
+from moritalab.morita import verify_witness, witness_brandt_full
 
 import oracles
 from oracles import (
     axiom_violations,
     balancing_span,
     intertwining_violations,
+    non_unital_algebras,
     quotient_actions,
     rescaled,
     span_contains,
@@ -924,3 +927,148 @@ def test_balanced_tensor_scaled_projection_fails_intertwining(monkeypatch):
     with pytest.raises(IntertwiningError,
                        match="^map does not intertwine left action of basis 0$"):
         balanced_tensor(reg, reg, m2)
+
+
+# ------------------------------------------------- induced-ness from the unit
+
+
+def _collapse_flags(mod):
+    """is_induced by the collapse maps alone, as the oracle."""
+    left = mu_map(mod).is_bijective()
+    right = mirror_mu_map(mod).is_bijective()
+    return InducedFlags(left=left, right=right, two_sided=left and right)
+
+
+def _unital_rescaled(a):
+    alg = rescaled(a)
+    alg.unit = find_unit(alg).coeffs
+    return alg
+
+
+UNITAL_ALGEBRAS = [
+    matrix_algebra(1), matrix_algebra(2), matrix_algebra(3), _B12,
+    semigroup_algebra(brandt(2, cyclic_group(1))), semigroup_algebra(brandt(2, cyclic_group(2))),
+    _unital_rescaled(matrix_algebra(2)), _unital_rescaled(_B12),
+    _unital_rescaled(semigroup_algebra(brandt(2, cyclic_group(2)))),
+]
+
+
+def _module(a, kind, seed):
+    if kind == "random":
+        return seeded_random_bimodule(a, seed)
+    if kind == "dual":
+        return dual_bimodule(regular_bimodule(a))
+    if kind == "zero":
+        return zero_action_module(a, 1 + seed % 3)
+    return regular_bimodule(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, len(UNITAL_ALGEBRAS) - 1),
+       kind=st.sampled_from(["random", "dual", "zero", "regular"]), seed=st.integers(0, 999))
+def test_is_induced_from_the_unit_matches_the_collapse_maps(k, kind, seed):
+    mod = _module(UNITAL_ALGEBRAS[k], kind, seed)
+    flags = is_induced(mod)
+    assert flags == _collapse_flags(mod)
+    assert flags.certificate == ("unit", "unit")
+
+
+def test_padded_random_module_is_not_induced_on_either_route():
+    # seed 0 pads with a zero-action line, on which x.1 = 0 != x
+    for a in UNITAL_ALGEBRAS:
+        mod = seeded_random_bimodule(a, 0)
+        assert mod.dim == a.dim + 1
+        flags = is_induced(mod)
+        assert flags == _collapse_flags(mod) == InducedFlags(False, False, False)
+        assert flags.certificate == ("unit", "unit")
+
+
+def test_is_induced_falls_back_without_a_unit():
+    for a in non_unital_algebras()[1::2]:
+        assert a.name in ("left zero", "right zero") and a.unit is None
+        reg = regular_bimodule(a)
+        for mod in (reg, dual_bimodule(reg), zero_action_module(a, 2)):
+            flags = is_induced(mod)
+            assert flags == _collapse_flags(mod)
+            assert flags.certificate == ("collapse", "collapse")
+    # a unital left algebra and a non-unital right one: one route per side
+    mixed = tensor(regular_bimodule(matrix_algebra(2)), regular_bimodule(non_unital_algebras()[1]))
+    flags = is_induced(mixed)
+    assert flags == _collapse_flags(mixed)
+    assert flags.certificate == ("unit", "collapse")
+
+
+def test_is_induced_takes_the_unit_route_only_once_the_axioms_are_proven():
+    reg = regular_bimodule(_B12)
+    mod = Bimodule(_B12, _B12, reg.dim, reg.left_action, reg.right_action, check=False)
+    assert is_induced(mod).certificate == ("collapse", "collapse")
+    assert mod.check_axioms() == []
+    assert is_induced(mod).certificate == ("unit", "unit")
+    # a failing check takes the proof back: the collapse maps then raise
+    bad = _corrupt_action(mod, "left", 1, 0, 0, 1)
+    bad._proven = True
+    assert bad.check_axioms() != []
+    expected = _outcome(lambda: _collapse_flags(bad))
+    assert expected[0] is ActionNotWellDefined
+    assert _outcome(lambda: is_induced(bad)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(fault=faults)
+def test_is_induced_under_fault_injection_keeps_the_collapse_outcome(fault):
+    k, side, p, r, c, delta = fault
+    mod = _corrupt_action(FAULT_MODULES[k], side, p, r, c, delta)
+    expected = _outcome(lambda: _collapse_flags(mod))
+    got = _outcome(lambda: is_induced(mod))
+    assert got == expected
+    if isinstance(got, InducedFlags):
+        assert got.certificate == ("collapse", "collapse")
+
+
+def test_is_induced_on_non_commuting_actions_raises_what_the_collapse_raises():
+    # the same algebra without a unit (rescaled) and with one
+    for alg in (RANDOM_MODULE_ALGEBRAS[3], semigroup_algebra(brandt(2, cyclic_group(1)))):
+        reg = regular_bimodule(alg)
+        mixed = Bimodule(alg, alg, reg.dim, reg.left_action, dual_bimodule(reg).right_action,
+                         check=False)
+        expected = _outcome(lambda: _collapse_flags(mixed))
+        assert expected[0] is ActionNotWellDefined
+        assert _outcome(lambda: is_induced(mixed)) == expected
+
+
+def _refuse_collapse_maps(monkeypatch):
+    def refuse(e):
+        raise AssertionError("collapse map built")
+
+    monkeypatch.setattr(bimodules, "mu_map", refuse)
+    monkeypatch.setattr(bimodules, "mirror_mu_map", refuse)
+
+
+def test_index_space_induced_takes_its_sides_from_is_induced(monkeypatch):
+    expected = {n: (_collapse_flags(column_module(n)).left, _collapse_flags(row_module(n)).right)
+                for n in (1, 2, 3)}
+    _refuse_collapse_maps(monkeypatch)
+    for n, (left, right) in expected.items():
+        flags = index_space_induced(n)
+        assert (flags.left, flags.right, flags.two_sided) == (left, right, left and right)
+        assert flags.certificate == ("unit", "unit")
+
+
+def test_induced_flags_compare_without_the_certificate():
+    assert InducedFlags(True, False, False) == InducedFlags(True, False, False,
+                                                            certificate=("unit", "collapse"))
+    assert InducedFlags(True, False, False).certificate is None
+
+
+def test_full_witness_certifies_without_a_collapse_map(monkeypatch):
+    _refuse_collapse_maps(monkeypatch)
+    wit = witness_brandt_full(2, 3, cyclic_group(3))
+    rep = verify_witness(wit)
+    assert rep.passed, rep.to_dict()
+
+
+def test_induced_completion_refuses_a_result_that_is_not_induced(monkeypatch):
+    m2 = matrix_algebra(2)
+    monkeypatch.setattr(bimodules, "is_induced", lambda e: InducedFlags(False, False, False))
+    with pytest.raises(RuntimeError, match="^completion failed to be two-sided induced$"):
+        induced_completion(m2, regular_bimodule(m2))

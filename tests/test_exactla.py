@@ -469,10 +469,12 @@ def _integral_fractions(x):
 
 
 def test_scale_keeps_integral_entries_int():
-    m = RationalMatrix(1, 2, {(0, 0): 2, (0, 1): QQ(1, 3)}).scale(QQ(1, 2))
+    # a matrix is scaled by a one-term linear_combination
+    m = linear_combination({0: QQ(1, 2)}, [RationalMatrix(1, 2, {(0, 0): 2, (0, 1): QQ(1, 3)})])
     assert m.entry(0, 0) == 1 and type(m.entry(0, 0)) is int
     assert m.entry(0, 1) == QQ(1, 6)
-    assert _integral_fractions(RationalMatrix(1, 1, {(0, 0): QQ(1, 2)}).scale(2)) == []
+    half = RationalMatrix(1, 1, {(0, 0): QQ(1, 2)})
+    assert _integral_fractions(linear_combination({0: 2}, [half])) == []
 
 
 def test_add_and_sub_keep_integral_entries_int():

@@ -37,7 +37,9 @@ from moritalab.structures import (
     triple_basis_iso,
 )
 
-from oracles import all_basis_unit, associativity_failures, derivation_failures, rescaled
+from oracles import (
+    all_basis_unit, associativity_failures, derivation_failures, non_unital_algebras, rescaled,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -347,35 +349,12 @@ def test_find_unit_rechecks_the_solution(monkeypatch, wrong):
     assert find_unit(alg) is None
 
 
-def _non_unital_algebras():
-    """Associative algebras without a unit, and one non-associative algebra
-    built unchecked, which has no derivation, but has a unit."""
-    left_zero = StructureAlgebra(3, ["a", "b", "c"],
-                                 {(p, q): {p: 1} for p in range(3) for q in range(3)},
-                                 name="left zero")
-    # every e_p is a left unit and none a right unit: e_s w = w, so the
-    # system e_s w = e_s over the generators has no solution
-    right_zero = StructureAlgebra(3, ["a", "b", "c"],
-                                  {(p, q): {q: 1} for p in range(3) for q in range(3)},
-                                  name="right zero")
-    # strictly upper triangular 3 x 3 matrices: e12 e23 = e13
-    nilpotent = StructureAlgebra(3, ["e12", "e13", "e23"], {(0, 2): {1: 1}}, name="nil")
-    # e0 a unit, x = e1, y = e2 with x x = y and x y = x: (x x) x = 0 != x = x (x x)
-    unital_bad = {(0, p): {p: 1} for p in range(3)}
-    unital_bad.update({(p, 0): {p: 1} for p in range(3)})
-    unital_bad.update({(1, 1): {2: 1}, (1, 2): {1: 1}})
-    bad = StructureAlgebra(3, ["1", "x", "y"], unital_bad, name="bad", check=False)
-    assert bad.derivation() is None
-    return [StructureAlgebra(2, ["x", "y"], {}, name="null"), left_zero, nilpotent, right_zero,
-            bad]
-
-
 _UNIT_ALGEBRAS = [
     matrix_algebra(2), matrix_algebra(3), group_algebra(symmetric_group(3)),
     contracted_brandt_algebra(2, cyclic_group(2)),
     semigroup_algebra(brandt(1, cyclic_group(2))), semigroup_algebra(brandt(2, cyclic_group(3))),
     direct_sum(matrix_algebra(2), scalar_algebra()),
-] + _non_unital_algebras()
+] + non_unital_algebras()
 
 
 @pytest.mark.parametrize("alg", _UNIT_ALGEBRAS, ids=lambda a: a.name)
@@ -385,7 +364,7 @@ def test_find_unit_matches_the_all_basis_system(alg):
 
 
 def test_find_unit_keeps_the_unit_of_a_non_associative_algebra():
-    bad = _non_unital_algebras()[-1]
+    bad = non_unital_algebras()[-1]
     assert find_unit(bad).coeffs == {0: 1}
 
 
@@ -419,8 +398,8 @@ def _checked_sum(a, b, name):
     (contracted_brandt_algebra(2, cyclic_group(2)), scalar_algebra()),
     (matrix_algebra(2), group_algebra(cyclic_group(3))),
     (rescaled(matrix_algebra(2)), semigroup_algebra(brandt(1, cyclic_group(2)))),
-    (scalar_algebra(), _non_unital_algebras()[1]),
-    (_non_unital_algebras()[2], _non_unital_algebras()[0]),
+    (scalar_algebra(), non_unital_algebras()[1]),
+    (non_unital_algebras()[2], non_unital_algebras()[0]),
 ], ids=lambda a: a.name)
 def test_direct_sum_equals_checked_construction(a, b):
     ds = direct_sum(a, b)
@@ -444,7 +423,7 @@ def test_direct_sum_rejects_a_bad_claimed_unit_with_the_checked_message():
 
 
 def test_direct_sum_without_a_derivation_is_checked():
-    bad = _non_unital_algebras()[-1]
+    bad = non_unital_algebras()[-1]
     with pytest.raises(ValueError, match=r"^algebra bad\(\+\)Q is not associative at basis"):
         direct_sum(bad, scalar_algebra())
 
