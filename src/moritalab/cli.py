@@ -150,6 +150,8 @@ class Campaign:
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}; choose from {', '.join(CHECK_NAMES)}")
+        if not self.instances:
+            raise ConfigError("campaign needs at least one instance")
         for inst in self.instances:
             if inst.i < 1 or inst.j < 1:
                 raise ConfigError("index size must be >= 1")
@@ -486,9 +488,6 @@ def build_campaign(args) -> Campaign:
     if checks_raw is None:
         raise ConfigError("--check is required (comma list)")
     checks = [tok.strip() for tok in str(checks_raw).split(",") if tok.strip()]
-    for i in i_list + (j_list or []):
-        if i < 1:
-            raise ConfigError("index size must be >= 1")
     instances = [
         Instance(i, j, grp)
         for i in i_list

@@ -3,8 +3,9 @@
 A witness between algebras A and B is a pair of two-sided induced
 bimodules P (B on the left, A on the right) and Q (A left, B right)
 together with bijective bimodule maps from the balanced products
-P (x)_A Q and Q (x)_B P onto B and A. verify_witness re-derives every
-one of those conditions from scratch, so a corrupted input is caught no
+P (x)_A Q and Q (x)_B P onto B and A. The witness builders only
+construct; verify_witness is the one certifier. It re-derives every one
+of those conditions from scratch, so a corrupted input is caught no
 matter how it was produced.
 
 The full Brandt witness is built in closed form over the semigroup
@@ -69,6 +70,8 @@ class VerificationFailed(RuntimeError):
 
 @dataclass
 class MoritaWitness:
+    """A witness as built, uncertified: verify_witness decides if it is one."""
+
     algebra_a: StructureAlgebra
     algebra_b: StructureAlgebra
     p: Bimodule            # B-mod-A
@@ -178,18 +181,13 @@ def verify_witness(wit: MoritaWitness) -> WitnessReport:
     return WitnessReport(conditions=[cond_p, cond_q, cond_pq, cond_qp])
 
 
-def _certify(a: StructureAlgebra, b: StructureAlgebra, p: Bimodule, q: Bimodule,
-             raw_pq: LinearMap, raw_qp: LinearMap) -> MoritaWitness:
+def _assemble(a: StructureAlgebra, b: StructureAlgebra, p: Bimodule, q: Bimodule,
+              raw_pq: LinearMap, raw_qp: LinearMap) -> MoritaWitness:
     """Descend the pairings raw_pq on P (x) Q and raw_qp on Q (x) P to the
-    balanced products, and certify the witness (verify_witness)."""
+    balanced products; the result is uncertified (verify_witness)."""
     iso_pq = induced_map(balanced_tensor(p, q, a), raw_pq, regular_bimodule(b))
     iso_qp = induced_map(balanced_tensor(q, p, b), raw_qp, regular_bimodule(a))
-    wit = MoritaWitness(a, b, p, q, iso_pq, iso_qp)
-    report = verify_witness(wit)
-    if not report.passed:
-        bad = next(c for c in report.conditions if not c.passed)
-        raise VerificationFailed(bad.name, str(bad.details.get("reason", bad.details)))
-    return wit
+    return MoritaWitness(a, b, p, q, iso_pq, iso_qp)
 
 
 def swap_witness(wit: MoritaWitness) -> MoritaWitness:
@@ -210,7 +208,7 @@ def witness_matrix_vs_scalars(index_size: int) -> MoritaWitness:
     P is the index space as a (scalars, matrix) module, Q the mirror; the
     pairing sum_i a(i) b(i) collapses P (x) Q onto the scalars and the
     basis bijection (i, j) -> matrix unit (i, j) identifies Q (x) P with
-    the matrix algebra.
+    the matrix algebra. Built, not certified: see verify_witness.
     """
     if index_size < 1:
         raise ValueError("index size must be >= 1")
@@ -219,7 +217,7 @@ def witness_matrix_vs_scalars(index_size: int) -> MoritaWitness:
     b = scalar_algebra()
     p = row_module(n)
     q = column_module(n)
-    return _certify(a, b, p, q, trace_pairing(n), _rect_pairing(n, 1, n, cyclic_group(1)))
+    return _assemble(a, b, p, q, trace_pairing(n), _rect_pairing(n, 1, n, cyclic_group(1)))
 
 
 @dataclass
@@ -367,16 +365,16 @@ def _rect_module(left_n: int, right_n: int, g: FiniteGroup,
 
 
 def witness_brandt_contracted(i_size: int, j_size: int, g: FiniteGroup) -> MoritaWitness:
-    """Witness between the contracted triple algebras over index sets of
-    sizes i_size and j_size with the same group."""
+    """Uncertified witness between the contracted triple algebras over
+    index sets of sizes i_size and j_size with the same group."""
     if i_size < 1 or j_size < 1:
         raise ValueError("index sizes must be >= 1")
     a = contracted_brandt_algebra(i_size, g)
     b = contracted_brandt_algebra(j_size, g)
     p = _rect_module(j_size, i_size, g, b, a)
     q = _rect_module(i_size, j_size, g, a, b)
-    return _certify(a, b, p, q, _rect_pairing(j_size, i_size, j_size, g),
-                    _rect_pairing(i_size, j_size, i_size, g))
+    return _assemble(a, b, p, q, _rect_pairing(j_size, i_size, j_size, g),
+                     _rect_pairing(i_size, j_size, i_size, g))
 
 
 def _full_actions(rect_actions, dim: int) -> list[RationalMatrix]:
@@ -421,8 +419,8 @@ def witness_brandt_full(i_size: int, j_size: int, g: FiniteGroup) -> MoritaWitne
     scalar summand acts; then theta(t) acts by t on the rectangle and by
     1 on *, and theta(0) by 1 on * alone, which are the actions above,
     and the padded pairings followed by theta's inverse are the pairings
-    above. Nothing here rests on that argument: verify_witness
-    re-derives all four conditions.
+    above. Nothing here rests on that argument, and nothing here
+    certifies: verify_witness re-derives all four conditions.
     """
     s_i, s_j = brandt(i_size, g), brandt(j_size, g)
     a, b = semigroup_algebra(s_i), semigroup_algebra(s_j)
@@ -440,4 +438,4 @@ def witness_brandt_full(i_size: int, j_size: int, g: FiniteGroup) -> MoritaWitne
     q = module(i_size, j_size, a, b, "Q")
     raw_pq = _full_pairing(dim, dim, _rect_pairing(j_size, i_size, j_size, g), s_j.zero_index)
     raw_qp = _full_pairing(dim, dim, _rect_pairing(i_size, j_size, i_size, g), s_i.zero_index)
-    return _certify(a, b, p, q, raw_pq, raw_qp)
+    return _assemble(a, b, p, q, raw_pq, raw_qp)

@@ -466,6 +466,21 @@ def test_campaign_validation():
         Campaign(instances=[Instance(1, 1, "C1")], checks=["homology"], size_limit=0)
     with pytest.raises(ConfigError):
         Campaign(instances=[Instance(1, 1, "C1")], checks=["lemma1"], jobs=0)
+    with pytest.raises(ConfigError, match="at least one instance"):
+        Campaign(instances=[], checks=["lemma1"])
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_verify_rejects_an_empty_group_list(tmp_path, capsys, how):
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps({"i": "1", "check": "lemma1", "group": ""}))
+    argv = {"flag": ["--check", "lemma1", "--i", "1", "--group", ","],
+            "config": ["--config", str(cfg)]}[how]
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "campaign needs at least one instance" in captured.err
 
 
 def test_failed_check_exits_one(monkeypatch, capsys):

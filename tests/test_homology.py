@@ -313,6 +313,24 @@ def test_row_rank_falls_back_when_column_hint_is_damaged():
     assert cx.certificates[("row", 2)] == "exhaustive"
 
 
+def test_exhaustive_row_echelon_must_match_the_certified_rank(monkeypatch):
+    sa = semigroup_algebra(brandt(1, cyclic_group(2)))
+    cx = bar_complex(sa, regular_bimodule(sa), 1)
+    cx.row_rank(2)
+    assert cx.certificates[("row", 2)] == "bound"
+    real = homology._forward_echelon
+
+    def one_pivot_short(rows, **kw):
+        piv = real(rows, **kw)
+        del piv[next(iter(piv))]
+        return piv
+
+    monkeypatch.setattr(homology, "_forward_echelon", one_pivot_short)
+    with pytest.raises(RuntimeError,
+                       match="row elimination of b_2 disagrees with its certified rank"):
+        cx.exhaustive_pivots("row", 2)
+
+
 def _battery_results():
     """Every rank, certificate and betti number of the rank battery."""
     out = {}
@@ -506,6 +524,21 @@ def test_cohomology_builds_no_homology_representatives(monkeypatch):
     assert h.betti == c.betti and len(kernel_calls) == 2
 
 
+@pytest.mark.parametrize("path", ["col", "row"])
+def test_representative_count_must_match_the_betti_number(monkeypatch, path):
+    # degree 1 of the dual numbers has betti 1; withhold the one kernel
+    # vector that the unpatched run takes as its representative
+    dual = dual_numbers()
+    reg = regular_bimodule(dual)
+    reps = homology._hochschild(bar_complex(dual, reg, 1), 1, path).cycle_reps
+    assert len(reps) == 1
+    real = homology._kernel_vectors
+    monkeypatch.setattr(homology, "_kernel_vectors",
+                        lambda f: (v for v in real(f) if v not in reps))
+    with pytest.raises(RuntimeError, match=f"{path} path: representative count disagrees"):
+        homology._hochschild(bar_complex(dual, reg, 1), 1, path)
+
+
 def test_cohomology_representatives_are_cocycles():
     dual = StructureAlgebra(
         2, ["1", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
@@ -569,6 +602,35 @@ def test_inner_contained_in_derivations_random_modules(seed=12):
             assert ds.inner.dim <= ds.derivations.dim
             count += 1
     assert count == 20
+
+
+def test_derivation_space_refuses_an_inner_derivation_outside_leibniz(monkeypatch):
+    # double the structure-constant term of the first Leibniz block, for
+    # e_(1,1) e_(1,1) = e_(1,1): the system then wants D(e_(1,1)) = 0
+    m2 = matrix_algebra(2)
+    real, calls = homology.kronecker, []
+
+    def doubled_first(x, y):
+        calls.append(1)
+        k = real(x, y)
+        if len(calls) > 1:
+            return k
+        return LinearMap(k.source_dim, k.target_dim, k.matrix + k.matrix)
+
+    monkeypatch.setattr(homology, "kronecker", doubled_first)
+    with pytest.raises(RuntimeError, match="an inner derivation fails the Leibniz system"):
+        derivation_space(m2, dual_bimodule(regular_bimodule(m2)))
+
+
+def test_derivation_space_count_must_match_first_cohomology(monkeypatch):
+    # the inner derivations come out empty, so 3 - 0 cannot equal H^1 = 0
+    m2 = matrix_algebra(2)
+    real = homology.image
+    monkeypatch.setattr(homology, "image",
+                        lambda f: real(LinearMap.zero(f.source_dim, f.target_dim)))
+    with pytest.raises(RuntimeError,
+                       match="derivation count 3 - 0 disagrees with first cohomology 0"):
+        derivation_space(m2, dual_bimodule(regular_bimodule(m2)))
 
 
 # -------------------------------------------------------------------- diagonal

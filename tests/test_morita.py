@@ -1,6 +1,8 @@
 """Morita witnesses, the splitting sequence, and fault injection."""
 
+import ast
 import dataclasses
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -222,6 +224,7 @@ def test_contracted_witness_two_three_c2_dims():
     w = witness_brandt_contracted(2, 3, cyclic_group(2))
     assert w.iso_pq.map.source_dim == w.algebra_b.dim == 18
     assert w.iso_qp.map.source_dim == w.algebra_a.dim == 8
+    assert verify_witness(w).passed
 
 
 # ---------------------------------------------------------------- full witness
@@ -339,8 +342,8 @@ def test_fault_corrupted_action_detected():
 
 
 def _without_unit(real):
-    def build(s):
-        alg = real(s)
+    def build(*args):
+        alg = real(*args)
         alg.unit = None
         return alg
     return build
@@ -355,37 +358,91 @@ def _with_zero_as_unit(real):
     return build
 
 
-@pytest.mark.parametrize("target,fake,condition", [
-    ("inverse", lambda real: lambda f: None, "theta_bijective"),
-    ("inverse", lambda real: lambda f: LinearMap.zero(f.target_dim, f.source_dim),
+def _map_replaced(n, wrong):
+    """A LinearMap whose n-th from_cols call (split_sequence writes out u,
+    v, w, theta and theta's inverse formula in that order) returns
+    wrong(the map it would have built)."""
+    def fake(real):
+        calls = []
+
+        class Replaced(real):
+            @classmethod
+            def from_cols(cls, cols, target_dim):
+                calls.append(1)
+                m = real.from_cols(cols, target_dim)
+                return wrong(m) if len(calls) == n else m
+        return Replaced
+    return fake
+
+
+def _zero(m):
+    # a zero map is multiplicative, so it passes its homomorphism check
+    return LinearMap.zero(m.source_dim, m.target_dim)
+
+
+def _killing_the_zero(v):
+    # the integral functional with the zero point mass sent to 0
+    return LinearMap.from_cols([v.col(c) for c in range(v.source_dim - 1)] + [{}], 1)
+
+
+_HOM = ("_is_algebra_hom", lambda real: lambda f, src, dst: (True, "", "generators"))
+# theta's true inverse at (2, C2), whatever map theta is
+_THETA_INV = ("inverse", lambda real: lambda f: oracles.split_maps(8, 9, 8)[4])
+
+
+@pytest.mark.parametrize("patches,condition", [
+    ([("inverse", lambda real: lambda f: None)], "theta_bijective"),
+    ([("inverse", lambda real: lambda f: LinearMap.zero(f.target_dim, f.source_dim))],
      "theta_inverse_formula"),
-    ("semigroup_algebra", _without_unit, "semigroup_unit"),
-    ("semigroup_algebra", _with_zero_as_unit, "unit_formula"),
-], ids=["no-inverse", "wrong-inverse", "no-unit", "wrong-unit"])
-def test_split_sequence_guards_fire(monkeypatch, target, fake, condition):
+    ([("semigroup_algebra", _without_unit)], "semigroup_unit"),
+    ([("semigroup_algebra", _with_zero_as_unit)], "unit_formula"),
+    ([("scalar_algebra",
+       lambda real: lambda: StructureAlgebra(1, ["1"], {(0, 0): {0: 2}}, name="2Q"))],
+     "v_homomorphism"),
+    ([("LinearMap", _map_replaced(3, _zero))], "wu_identity"),
+    ([_HOM, ("LinearMap", _map_replaced(2, _killing_the_zero))], "vu_zero"),
+    ([("kernel", lambda real: lambda f: real(_zero(f)))], "u_injective"),
+    ([("LinearMap", _map_replaced(2, _zero))], "v_surjective"),
+    ([("subspace_equal", lambda real: lambda x, y: False)], "exactness"),
+    ([_THETA_INV, ("LinearMap", _map_replaced(4, _zero))], "zero_transport"),
+    ([("direct_sum", _without_unit)], "unit_transport"),
+], ids=["no-inverse", "wrong-inverse", "no-unit", "wrong-unit", "doubled-scalars",
+        "zero-w", "v-kills-zero", "u-kernel", "zero-v", "inexact", "zero-theta",
+        "sum-without-unit"])
+def test_split_sequence_guards_fire(monkeypatch, patches, condition):
     import moritalab.morita as morita_mod
 
-    monkeypatch.setattr(morita_mod, target, fake(getattr(morita_mod, target)))
+    for target, fake in patches:
+        monkeypatch.setattr(morita_mod, target, fake(getattr(morita_mod, target)))
     with pytest.raises(VerificationFailed) as err:
         split_sequence(2, cyclic_group(2))
     assert err.value.condition == condition
 
 
-def test_constructors_raise_verification_failed_on_bad_internal_data(monkeypatch):
-    # force the certification path itself to see a failure
+def test_builders_construct_without_certifying(monkeypatch):
     import moritalab.morita as morita_mod
 
-    original = morita_mod.verify_witness
+    def forbidden(wit):
+        raise AssertionError("a witness builder ran verify_witness")
 
-    def sabotage(wit):
-        rep = original(wit)
-        rep.conditions[0].passed = False
-        rep.conditions[0].details["reason"] = "injected"
-        return rep
+    monkeypatch.setattr(morita_mod, "verify_witness", forbidden)
+    for w in (morita_mod.witness_matrix_vs_scalars(2),
+              morita_mod.witness_brandt_contracted(1, 2, cyclic_group(2)),
+              morita_mod.witness_brandt_full(1, 2, cyclic_group(2))):
+        assert isinstance(w, morita_mod.MoritaWitness)
 
-    monkeypatch.setattr(morita_mod, "verify_witness", sabotage)
-    with pytest.raises(VerificationFailed):
-        morita_mod.witness_matrix_vs_scalars(2)
+
+def test_only_verify_witness_certifies_witnesses():
+    import moritalab.morita as morita_mod
+
+    tree = ast.parse(pathlib.Path(morita_mod.__file__).read_text(encoding="utf-8"))
+    callers = {
+        fn.name
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "verify_witness"
+    }
+    assert callers <= {"verify_witness"}
 
 
 # ------------------------------------------------------------- composability
