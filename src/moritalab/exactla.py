@@ -117,15 +117,13 @@ class RationalMatrix:
                     m._rows[r][c] = v
         return m
 
-    @classmethod
-    def _of_columns(cls, col_dicts: list, rows: int) -> "RationalMatrix":
-        """Matrix keeping col_dicts (nonzero in-range entries, not to be changed
-        afterwards) as its column view, with its rows scattered from them."""
-        m = cls(rows, len(col_dicts))
-        for c, col in enumerate(col_dicts):
-            for r, v in col.items():
-                m._rows[r][c] = v
-        m._colcache = col_dicts
+    @staticmethod
+    def _of_columns(col_dicts: list, rows: int) -> "RationalMatrix":
+        """Matrix keeping col_dicts (nonzero in-range entries, never changed after)
+        as its column view; rows are scattered only when read (see _ColumnBuilt)."""
+        m = object.__new__(_ColumnBuilt)
+        m.rows, m.cols, m._colcache = rows, len(col_dicts), col_dicts
+        RationalMatrix._rows.__set__(m, None)
         return m
 
     @classmethod
@@ -215,6 +213,27 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
+
+
+class _ColumnBuilt(RationalMatrix):
+    """Made by RationalMatrix._of_columns: the row slot stays None until _rows is
+    first read, then keeps the rows scattered from the columns."""
+
+    __slots__ = ()
+
+    @property
+    def _rows(self) -> list[dict]:
+        rows = RationalMatrix._rows.__get__(self)
+        if rows is None:
+            rows = [{} for _ in range(self.rows)]
+            for c, col in enumerate(self._colcache):
+                for r, v in col.items():
+                    rows[r][c] = v
+            RationalMatrix._rows.__set__(self, rows)
+        return rows
+
+    def nnz(self) -> int:
+        return sum(map(len, self._colcache))
 
 
 def linear_combination(coeffs: dict, mats) -> RationalMatrix:

@@ -7,7 +7,8 @@ c of b_n is built from column c // d of b_{n-1}: its faces d_0 .. d_{n-2}
 are those there with a_n = c % d appended, d_{n-1} splices a_{n-1} a_n
 after the head (x.a_1 when n = 1), and d_n = a_n.x keeps the middle
 digits. The faces alternate in sign. Only the partial sums d_0 + .. +
-d_{n-1} of the degree below are kept; the columns built are the column view.
+d_{n-1} of the degree below are kept. b_n is held as the columns built;
+its rows are scattered from them only when first read (see ChainComplex).
 
 Homology and cohomology with dual coefficients mirror each other. H_n
 takes its cycles from the kernel of b_n and its boundaries from the
@@ -18,14 +19,14 @@ duality betti(H^n) = betti(H_n) is a built-in cross-check rather than an
 assumption.
 
 Ranks are certified by two bounds that must meet. The pivots found so
-far are independent, so their count is a lower bound on rank b_n. Since
-b_{n-1} b_n = 0 is verified exactly when the complex is built, rank b_n
-is at most dim C_{n-1} - rank b_{n-1}; each path takes that lower rank
-from its own elimination. An elimination ends as soon as its pivot count
-reaches the upper bound (certificate "bound"); otherwise it runs over
-every column or row ("exhaustive"). The bound is met exactly when the
-homology one degree down vanishes, so non-vanishing degrees are always
-eliminated to the end, and only such echelons feed representatives.
+far are independent, so their count is a lower bound on rank b_n. As
+b_{n-1} b_n = 0 is verified exactly, column by column, when the complex
+is built, rank b_n is at most dim C_{n-1} - rank b_{n-1}; each path takes
+that lower rank from its own elimination. An elimination ends as soon as
+its pivot count reaches the upper bound (certificate "bound"); otherwise
+it runs over every column or row ("exhaustive"). The bound is met exactly
+when the homology one degree down vanishes, so non-vanishing degrees are
+always eliminated to the end, and only such echelons feed representatives.
 
 The column path first chooses, by XOR on bitmasks and in index order,
 columns whose primitive integer forms are independent mod 2, up to the
@@ -117,9 +118,9 @@ class NotUnitalError(ValueError):
 class ChainComplex:
     """Chain spaces C_0..C_top with boundaries b_n: C_n -> C_{n-1}.
 
-    The composite-zero law b_n b_{n+1} = 0 is verified exactly, streaming the
-    product row by row through exactla._accumulate, never held whole; the
-    rank bounds that end the eliminations rest on it.
+    b_n b_{n+1} = 0 is verified exactly, one product column at a time through
+    exactla._accumulate, reading no rows (bar boundaries scatter theirs only
+    when first read); the rank bounds that end the eliminations rest on it.
     certificates maps (path, n), path "col" or "row", to "bound" when the
     rank of b_n was proven by the two bounds meeting, or "exhaustive"
     when the elimination ran over every column or row.
@@ -138,9 +139,9 @@ class ChainComplex:
         self._echelons = {}     # (path, n) -> pivots of an elimination of b_n
         self._col_sources = {}  # n -> column of b_n behind each column pivot
         for k in range(len(self.boundaries) - 1):
-            later = self.boundaries[k + 1].matrix._rows
-            for row in self.boundaries[k].matrix._rows:
-                if _accumulate({}, row, later):  # one row of the product
+            earlier = self.boundaries[k].matrix._columns()
+            for col in self.boundaries[k + 1].matrix._columns():
+                if _accumulate({}, col, earlier):  # one column of the product
                     raise RuntimeError(f"boundary composite b_{k + 1} b_{k + 2} is nonzero")
 
     def boundary(self, n: int) -> LinearMap:

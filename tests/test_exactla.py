@@ -25,6 +25,7 @@ from moritalab.exactla import (
     kronecker,
     l1_operator_norm,
     linear_combination,
+    nrat,
     quotient,
     rref,
     solve,
@@ -552,6 +553,50 @@ def test_matmul_and_apply_match_dense_oracle(case):
     got = a.apply(vec)
     assert got == {r: row[0] for r, row in enumerate(column) if row[0]}
     assert _integral_fractions(got) == []
+
+
+@st.composite
+def _column_case(draw):
+    # nonzero, normalized entries, as _of_columns takes them; empty columns
+    # and zero-row shapes included
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = small_rationals.filter(bool).map(nrat)
+    columns = draw(st.lists(st.dictionaries(st.integers(0, rows - 1), entry, max_size=rows)
+                            if rows else st.just({}), min_size=cols, max_size=cols))
+    left = RationalMatrix.from_rows(draw(_dense_rows(2, rows)), rows)
+    right = RationalMatrix.from_rows(draw(_dense_rows(cols, 3)), 3)
+    vec = draw(st.dictionaries(st.integers(0, cols - 1), _cells, max_size=cols)
+               if cols else st.just({}))
+    return rows, columns, left, right, vec
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_column_case())
+def test_column_built_matrix_matches_from_cols(case):
+    rows, columns, left, right, vec = case
+    plain = RationalMatrix.from_cols(columns, rows)
+
+    def built():
+        # a fresh one each time, so that every operation is the first to
+        # read the rows, which are unset until then
+        m = RationalMatrix._of_columns([dict(c) for c in columns], rows)
+        assert RationalMatrix._rows.__get__(m) is None
+        return m
+
+    assert built() == plain and plain == built()
+    assert built()._rows == plain._rows
+    assert built()._columns() == plain._columns()
+    assert built().transpose() == plain.transpose()
+    assert built() @ right == plain @ right and left @ built() == left @ plain
+    assert built().apply(vec) == plain.apply(vec)
+    m = built()
+    assert m.nnz() == plain.nnz() and RationalMatrix._rows.__get__(m) is None
+    assert [[built().entry(r, c) for c in range(len(columns))] for r in range(rows)] \
+        == plain.to_dense()
+    assert hash(built()) == hash(plain)
+    m = built()
+    for result in (m @ right, left @ m, m + plain, m - plain, m.transpose()):
+        assert type(result) is RationalMatrix
 
 
 @settings(max_examples=50, deadline=None)

@@ -165,6 +165,67 @@ def test_one_changed_entry_of_b3_fails_the_composite_check(seed):
         ChainComplex(sa, cx.coefficients, cx.spaces, boundaries)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_one_changed_entry_of_b2_fails_the_composite_check(seed):
+    sa = semigroup_algebra(brandt(2, cyclic_group(2)))
+    cx = bar_complex(sa, regular_bimodule(sa), 2)
+    b1, b2, b3 = (cx.boundary(n).matrix for n in (1, 2, 3))
+    rng = random.Random(seed)
+    # b_1 kills basis vector r of C_1 (x (x) a with xa = ax), so changing
+    # entry (r, c) of b_2 leaves b_1 b_2 zero; row c of b_3 is not zero,
+    # so the change reaches row r of b_2 b_3
+    r = rng.choice([k for k, col in enumerate(b1._columns()) if not col])
+    c = rng.choice(sorted({k for col in b3._columns() for k in col}))
+    bad = RationalMatrix.from_cols(b2._columns(), b2.rows)
+    bad._rows[r][c] = b2.entry(r, c) + 1 or 2
+    boundaries = [cx.boundaries[0], LinearMap(b2.cols, b2.rows, bad), cx.boundaries[2]]
+    with pytest.raises(RuntimeError, match="composite b_2 b_3 is nonzero"):
+        ChainComplex(sa, cx.coefficients, cx.spaces, boundaries)
+
+
+def _row_slot(m):
+    """The row storage of a matrix, None while a column-built one has not
+    scattered its rows."""
+    return RationalMatrix._rows.__get__(m)
+
+
+def test_vanishing_suite_scatters_rows_only_for_the_row_fallback(monkeypatch):
+    sa = semigroup_algebra(brandt(2, cyclic_group(3)))
+    built = []
+    true_build = homology.bar_complex
+
+    def build(*args, **kw):
+        cx = true_build(*args, **kw)
+        built.append(cx)
+        return cx
+
+    monkeypatch.setattr(homology, "bar_complex", build)
+    rep = vanishing_suite(sa, [regular_bimodule(sa)], 2)
+    assert rep.passed and [e.degrees for e in rep.entries] == [[(1, 0, 0), (2, 0, 0)]]
+    cx, = built
+    # b_2 and b_3 (28,561 columns) have their row ranks proven by the
+    # bound and never scatter; H_0 != 0, so the row rank of b_1 (169
+    # columns) is eliminated over all its rows, which scatters them once
+    certs = [cx.certificates[("row", n)] for n in (1, 2, 3)]
+    assert certs == ["exhaustive", "bound", "bound"]
+    assert [_row_slot(b.matrix) is None for b in cx.boundaries] == [False, True, True]
+
+
+def test_non_vanishing_complex_scatters_rows_for_the_row_fallback():
+    # H_n of the dual numbers never vanishes, so no rank meets its bound
+    # and the row path eliminates every row of every boundary
+    dual = dual_numbers()
+    cx = bar_complex(dual, regular_bimodule(dual), 3)
+    mats = [b.matrix for b in cx.boundaries]
+    assert all(_row_slot(m) is None for m in mats)
+    ranks = []
+    for n, m in enumerate(mats, start=1):
+        ranks.append((cx.col_rank(n), cx.row_rank(n), len(cx.exhaustive_pivots("row", n))))
+        assert cx.certificates[("row", n)] == "exhaustive"
+        assert _row_slot(m) == RationalMatrix.from_rows(m._columns(), m.rows).transpose()._rows
+    assert ranks == [(0, 0, 0), (3, 3, 3), (4, 4, 4), (11, 11, 11)]
+
+
 def test_vanishing_suite_frees_each_complex_before_the_next(monkeypatch):
     sa = semigroup_algebra(brandt(1, cyclic_group(2)))
     reg = regular_bimodule(sa)
