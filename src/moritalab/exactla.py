@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 # Sparse vectors are plain dicts index -> nonzero value (Fraction or int).
@@ -121,8 +122,17 @@ class RationalMatrix:
     def _of_columns(col_dicts: list, rows: int) -> "RationalMatrix":
         """Matrix keeping col_dicts (nonzero in-range entries, never changed after)
         as its column view; rows are scattered only when read (see _ColumnBuilt)."""
+        m = RationalMatrix._streamed(None, rows, len(col_dicts))
+        m._colcache = col_dicts
+        return m
+
+    @staticmethod
+    def _streamed(stream, rows: int, cols: int) -> "RationalMatrix":
+        """Matrix whose cols columns, held to the contract of _of_columns, a
+        fresh stream() yields in index order; they are listed only when
+        _columns() is read (see _ColumnBuilt)."""
         m = object.__new__(_ColumnBuilt)
-        m.rows, m.cols, m._colcache = rows, len(col_dicts), col_dicts
+        m.rows, m.cols, m._colcache, m._stream, m._nnz = rows, cols, None, stream, None
         RationalMatrix._rows.__set__(m, None)
         return m
 
@@ -138,6 +148,10 @@ class RationalMatrix:
 
     def col(self, c: int) -> dict:
         return dict(self._columns()[c])
+
+    def _column_blocks(self):
+        """The column view as consecutive lists of columns, in index order."""
+        yield self._columns()
 
     def _columns(self) -> list:
         """Internal column view; treat the returned dicts as read-only."""
@@ -216,24 +230,46 @@ class RationalMatrix:
 
 
 class _ColumnBuilt(RationalMatrix):
-    """Made by RationalMatrix._of_columns: the row slot stays None until _rows is
-    first read, then keeps the rows scattered from the columns."""
+    """Made by RationalMatrix._of_columns or _streamed: the row slot stays None
+    until _rows is first read, then keeps the rows scattered from the columns.
 
-    __slots__ = ()
+    A streamed matrix holds no column list until _columns() is read: until
+    then _column_blocks() runs its stream afresh, a block of columns at a
+    time, and a run to the end records nnz, so that nnz() lists nothing.
+    """
+
+    __slots__ = ("_stream", "_nnz")
 
     @property
     def _rows(self) -> list[dict]:
         rows = RationalMatrix._rows.__get__(self)
         if rows is None:
             rows = [{} for _ in range(self.rows)]
-            for c, col in enumerate(self._colcache):
+            for c, col in enumerate(self._columns()):
                 for r, v in col.items():
                     rows[r][c] = v
             RationalMatrix._rows.__set__(self, rows)
         return rows
 
+    def _columns(self) -> list:
+        if self._colcache is None:
+            self._colcache = list(self._stream())
+        return self._colcache
+
+    def _column_blocks(self):
+        if self._colcache is not None:
+            yield self._colcache
+            return
+        nnz, stream = 0, self._stream()
+        while block := list(islice(stream, 256)):
+            nnz += sum(map(len, block))
+            yield block
+        self._nnz = nnz
+
     def nnz(self) -> int:
-        return sum(map(len, self._colcache))
+        if self._nnz is None:
+            self._nnz = sum(sum(map(len, block)) for block in self._column_blocks())
+        return self._nnz
 
 
 def linear_combination(coeffs: dict, mats) -> RationalMatrix:
@@ -334,9 +370,11 @@ def _sparsest_first(row: dict) -> tuple[int, int]:
     return (len(row), min(row)) if row else (0, -1)
 
 
-def _mod2_independent(rows, limit: int) -> list[int]:
+def _mod2_independent(rows, limit: int, kept: list | None = None) -> list[int]:
     """Indices of at most limit rows whose primitive integer forms are
-    independent mod 2, taken in index order.
+    independent mod 2, taken in index order from any iterable. When kept is
+    a list, each picked row is appended to it too, so that a caller
+    streaming the rows need hold no others.
 
     An integer dependency among primitive rows can be divided until some
     coefficient is odd; reduced mod 2 it is then a dependency there too.
@@ -369,6 +407,8 @@ def _mod2_independent(rows, limit: int) -> list[int]:
             if p is None:
                 pivots[top] = m
                 picked.append(i)
+                if kept is not None:
+                    kept.append(row)
                 break
             m ^= p
     return picked

@@ -7,8 +7,11 @@ c of b_n is built from column c // d of b_{n-1}: its faces d_0 .. d_{n-2}
 are those there with a_n = c % d appended, d_{n-1} splices a_{n-1} a_n
 after the head (x.a_1 when n = 1), and d_n = a_n.x keeps the middle
 digits. The faces alternate in sign. Only the partial sums d_0 + .. +
-d_{n-1} of the degree below are kept. b_n is held as the columns built;
-its rows are scattered from them only when first read (see ChainComplex).
+d_{n-1} of the degree below are kept. b_1 .. b_{top-1} are held as the
+columns built. b_top, dim A times larger than b_{top-1}, is not stored:
+it is held as a stream that builds its columns afresh, in index order,
+from the partials of b_{top-1}. Rows are scattered from the columns only
+when first read (see ChainComplex).
 
 Homology and cohomology with dual coefficients mirror each other. H_n
 takes its cycles from the kernel of b_n and its boundaries from the
@@ -30,13 +33,15 @@ always eliminated to the end, and only such echelons feed representatives.
 
 The column path first chooses, by XOR on bitmasks and in index order,
 columns whose primitive integer forms are independent mod 2, up to the
-bound. They are independent over Q too: an integer dependency divided by
-its content has an odd coefficient, so it survives reduction mod 2. Exact
-elimination of the chosen columns therefore never reduces one to zero;
-when there are as many as the bound, it proves the rank ("bound"). Under
-2-torsion fewer may be found, or a faulty choice may fall short exactly;
-then every column is eliminated as before. No rank rests on mod-2
-arithmetic: it only decides which columns the exact elimination sees.
+bound, in the construction pass that checks b_{n-1} b_n = 0; only the
+chosen columns are kept. They are independent over Q too: an integer
+dependency divided by its content has an odd coefficient, so it
+survives reduction mod 2. Exact elimination of the chosen columns
+therefore never reduces one to zero; when there are as many as the
+bound, it proves the rank ("bound"). Under 2-torsion fewer may be found,
+or a faulty choice may fall short exactly; then every column is listed
+and eliminated as before. No rank rests on mod-2 arithmetic: it only
+decides which columns the exact elimination sees.
 
 The chosen columns pivot on their highest row index, as the mod-2
 selector does; every other elimination pivots on the lowest. Under
@@ -68,7 +73,9 @@ sum_p L_p (row p of M) = the unit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .exactla import (
     LinearMap,
@@ -118,16 +125,22 @@ class NotUnitalError(ValueError):
 class ChainComplex:
     """Chain spaces C_0..C_top with boundaries b_n: C_n -> C_{n-1}.
 
-    b_n b_{n+1} = 0 is verified exactly, one product column at a time through
-    exactla._accumulate, reading no rows (bar boundaries scatter theirs only
-    when first read); the rank bounds that end the eliminations rest on it.
-    certificates maps (path, n), path "col" or "row", to "bound" when the
-    rank of b_n was proven by the two bounds meeting, or "exhaustive"
-    when the elimination ran over every column or row.
+    Construction makes one pass over the columns of each b_n, in index
+    order: each is multiplied out against the columns of b_{n-1} through
+    exactla._accumulate, so b_{n-1} b_n = 0 is verified exactly, reading
+    no rows, and fed to the mod-2 selector, which keeps the columns it
+    picks. The rank bounds that end the eliminations rest on the check.
+    A streamed b_top is listed only by a route that needs all of it: a
+    pick that falls short, the row fallback, exhaustive_pivots,
+    representatives, or a reader of .matrix. certificates maps (path, n),
+    path "col" or "row", to "bound" when the rank of b_n was proven by the
+    two bounds meeting, or "exhaustive" when the elimination ran over
+    every column or row.
     """
 
-    __slots__ = ("algebra", "coefficients", "spaces", "boundaries",
-                 "certificates", "_row_ranks", "_echelons", "_col_sources", "__weakref__")
+    __slots__ = ("algebra", "coefficients", "spaces", "boundaries", "certificates",
+                 "_row_ranks", "_echelons", "_picks", "_col_sources", "_pivot_columns",
+                 "__weakref__")
 
     def __init__(self, algebra, coefficients, spaces, boundaries):
         self.algebra = algebra
@@ -136,13 +149,37 @@ class ChainComplex:
         self.boundaries = list(boundaries)  # boundaries[k] is b_{k+1}
         self.certificates = {}
         self._row_ranks = {}
-        self._echelons = {}     # (path, n) -> pivots of an elimination of b_n
-        self._col_sources = {}  # n -> column of b_n behind each column pivot
-        for k in range(len(self.boundaries) - 1):
-            earlier = self.boundaries[k].matrix._columns()
-            for col in self.boundaries[k + 1].matrix._columns():
-                if _accumulate({}, col, earlier):  # one column of the product
-                    raise RuntimeError(f"boundary composite b_{k + 1} b_{k + 2} is nonzero")
+        self._echelons = {}       # (path, n) -> pivots of an elimination of b_n
+        self._picks = {}          # n -> (indices, columns) of b_n chosen mod 2
+        self._col_sources = {}    # n -> column of b_n behind each column pivot
+        self._pivot_columns = {}  # n -> {index: column} for those columns
+        for n in range(1, len(self.boundaries) + 1):
+            # one pass over the columns of b_n checks b_{n-1} b_n = 0 and
+            # picks up to the bound, which rests on that check: no rank
+            # of b_n is certified until the pass has run to the end
+            blocks, kept = self._checked(n), []
+            picked = _mod2_independent(chain.from_iterable(blocks),
+                                       self._rank_bound(n, self.col_rank), kept)
+            self._picks[n] = (picked, kept)
+            for _ in blocks:  # the blocks after the pick are only checked
+                pass
+
+    def _checked(self, n: int):
+        """The columns of b_n in blocks, in index order, each column first
+        multiplied out against the columns of b_{n-1}, so every entry of
+        b_{n-1} b_n is checked exactly.
+
+        A block is checked whole before it is handed on: checking each
+        column between its build and its pick made the pass over b_3 of
+        l1(B(2,C3)) a few percent slower.
+        """
+        earlier = self.boundaries[n - 2].matrix._columns() if n > 1 else None
+        for block in self.boundaries[n - 1].matrix._column_blocks():
+            if earlier is not None:
+                for col in block:
+                    if _accumulate({}, col, earlier):  # one column of the product
+                        raise RuntimeError(f"boundary composite b_{n - 1} b_{n} is nonzero")
+            yield block
 
     def boundary(self, n: int) -> LinearMap:
         """b_n: C_n -> C_{n-1}, stored for n = 1 .. top."""
@@ -166,27 +203,27 @@ class ChainComplex:
     def col_pivots(self, n: int) -> dict:
         """Column echelon of b_n, ended once its pivots reach the rank bound.
 
-        Columns independent mod 2 are chosen first; being independent over
-        Q as well, they are eliminated exactly, pivoting on their highest
-        row index, and, when there are as many as the bound, prove the
-        rank. Otherwise every column is eliminated, on leading pivots.
+        Columns independent mod 2 were chosen at construction; being
+        independent over Q as well, they are eliminated exactly, pivoting
+        on their highest row index, and, when there are as many as the
+        bound, prove the rank. Otherwise every column is listed and
+        eliminated, on leading pivots.
         """
         key = ("col", n)
         if key not in self._echelons:
             bound = self._rank_bound(n, self.col_rank)
-            cols = self.boundary(n).matrix._columns()
-            picked = _mod2_independent(cols, bound)
+            picked, cols = self._picks.pop(n)
             piv: dict = {}
             sources: list = []
             if len(picked) == bound:
-                piv = _forward_echelon([cols[i] for i in picked], stop_at=bound,
-                                       sources=sources, lead=max)
-                sources = [picked[i] for i in sources]
+                piv = _forward_echelon(cols, stop_at=bound, sources=sources, lead=max)
             if len(piv) < bound:
-                sources = []
+                cols = self.boundary(n).matrix._columns()
+                picked, sources = range(len(cols)), []
                 piv = _forward_echelon(cols, stop_at=bound, sources=sources)
             self._echelons[key] = piv
-            self._col_sources[n] = sources
+            self._col_sources[n] = [picked[i] for i in sources]
+            self._pivot_columns[n] = {picked[i]: cols[i] for i in sources}
             self.certificates[key] = "bound" if len(piv) == bound else "exhaustive"
         return self._echelons[key]
 
@@ -202,7 +239,7 @@ class ChainComplex:
             bound = self._rank_bound(n, self.row_rank)
             self.col_pivots(n)
             mat = self.boundary(n).matrix
-            kept = [mat._columns()[c] for c in sorted(self._col_sources[n])]
+            kept = [self._pivot_columns[n][c] for c in sorted(self._col_sources[n])]
             hinted = RationalMatrix._of_columns(kept, mat.rows)._rows
             rank = len(_forward_echelon(hinted, stop_at=bound, lead=max))
             if rank == bound:
@@ -252,7 +289,8 @@ def check_bar_budget(algebra_dim: int, coeff_dim: int, n_max: int,
 def bar_complex(a: StructureAlgebra, e: Bimodule, n_max: int,
                 size_limit: int = DEFAULT_SIZE_LIMIT) -> ChainComplex:
     """Bar chain complex of the algebra with coefficients in e, carrying
-    boundaries b_1 .. b_{n_max+1} with the composite-zero law verified."""
+    boundaries b_1 .. b_{n_max+1} with the composite-zero law verified;
+    b_{n_max+1} is streamed (see ChainComplex)."""
     if e.left_algebra != a or e.right_algebra != a:
         raise ValueError("coefficients must form a bimodule over the algebra")
     check_bar_budget(a.dim, e.dim, n_max, size_limit)
@@ -276,9 +314,9 @@ def bar_complex(a: StructureAlgebra, e: Bimodule, n_max: int,
             elif idx in acc:
                 del acc[idx]
 
-    boundaries = []
-    partial = [{}] * e.dim  # faces d_0 .. d_{n-2} of each column of b_{n-1}
-    for n in range(1, top + 1):
+    def columns(n, partial, nxt):
+        """The columns of b_n in index order, from the partials of b_{n-1};
+        those of b_n are appended to nxt unless it is None."""
         key, span, sign = keys[n - 1], da ** (n - 1), -1 if n % 2 else 1
         # d_n = a_n.x, by x and a_n, keeps the middle digits a_1 .. a_{n-1}
         lasts = [faces([m[x] for m in left_cols], span, sign) for x in range(e.dim)]
@@ -286,7 +324,6 @@ def bar_complex(a: StructureAlgebra, e: Bimodule, n_max: int,
         splices = [faces([m[x] for m in right_cols], 1, 1) for x in range(e.dim)] if n == 1 \
             else [faces([a.structure.get((s, t), {}) for t in range(da)], 1, -sign)
                   for s in range(da)]
-        cols, nxt = [], []
         for prev, part in enumerate(partial):
             # column prev * d + a_n is x (x) a_1 .. a_{n-1} (x) a_n
             x, middle = divmod(prev, span)
@@ -295,13 +332,23 @@ def bar_complex(a: StructureAlgebra, e: Bimodule, n_max: int,
             for last in range(da):
                 col = {key[r + last]: v for r, v in shifted.items()}
                 add(col, splices[low][last], prev - low, key)
-                if n < top:
+                if nxt is not None:
                     nxt.append(dict(col))
                 add(col, lasts[x][last], middle, key)
-                cols.append(col)
+                yield col
+
+    boundaries = []
+    partial = [{}] * e.dim  # faces d_0 .. d_{n-2} of each column of b_{n-1}
+    for n in range(1, top):
+        nxt = []
+        cols = RationalMatrix._of_columns(list(columns(n, partial, nxt)), dims[n - 1])
+        boundaries.append(LinearMap(dims[n], dims[n - 1], cols))
         partial = nxt
-        boundaries.append(LinearMap(dims[n], dims[n - 1],
-                                    RationalMatrix._of_columns(cols, dims[n - 1])))
+    # b_top, dim A times larger than b_{top-1}, is not stored: ChainComplex
+    # streams it once, and it is listed only when an elimination needs it all
+    cols = RationalMatrix._streamed(functools.partial(columns, top, partial, None),
+                                    dims[top - 1], dims[top])
+    boundaries.append(LinearMap(dims[top], dims[top - 1], cols))
     return ChainComplex(a, e, dims, boundaries)
 
 

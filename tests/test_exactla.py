@@ -570,16 +570,15 @@ def _column_case(draw):
     return rows, columns, left, right, vec
 
 
-@settings(max_examples=50, deadline=None)
-@given(case=_column_case())
-def test_column_built_matrix_matches_from_cols(case):
+def _check_column_built(case, make):
+    """make(columns, rows) against RationalMatrix.from_cols on one case."""
     rows, columns, left, right, vec = case
     plain = RationalMatrix.from_cols(columns, rows)
 
     def built():
         # a fresh one each time, so that every operation is the first to
         # read the rows, which are unset until then
-        m = RationalMatrix._of_columns([dict(c) for c in columns], rows)
+        m = make([dict(c) for c in columns], rows)
         assert RationalMatrix._rows.__get__(m) is None
         return m
 
@@ -597,6 +596,47 @@ def test_column_built_matrix_matches_from_cols(case):
     m = built()
     for result in (m @ right, left @ m, m + plain, m - plain, m.transpose()):
         assert type(result) is RationalMatrix
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_column_case())
+def test_column_built_matrix_matches_from_cols(case):
+    _check_column_built(case, RationalMatrix._of_columns)
+
+
+def _streamed(columns, rows):
+    """A streamed matrix over columns, with a log of its stream's runs."""
+    runs = []
+
+    def stream():
+        runs.append(1)
+        return (dict(c) for c in columns)
+
+    return RationalMatrix._streamed(stream, rows, len(columns)), runs
+
+
+def _listed(m):
+    """The columns one run of m._column_blocks() hands over, in order."""
+    return [col for block in m._column_blocks() for col in block]
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_column_case())
+def test_streamed_matrix_matches_from_cols(case):
+    _check_column_built(case, lambda columns, rows: _streamed(columns, rows)[0])
+    rows, columns = case[:2]
+    m, runs = _streamed(columns, rows)
+    # a pass and nnz list nothing; the pass records nnz, so nnz reruns nothing
+    assert _listed(m) == columns and m._colcache is None
+    assert m.nnz() == sum(map(len, columns)) and m._colcache is None and len(runs) == 1
+    # _columns() lists the stream once, and later passes read that list
+    assert m._columns() == columns and m._columns() is m._colcache and len(runs) == 2
+    assert _listed(m) == columns and len(runs) == 2
+    assert m.nnz() == sum(map(len, columns))
+    # nnz on a stream that was never run counts a run of it, listing nothing
+    m, runs = _streamed(columns, rows)
+    assert m.nnz() == sum(map(len, columns)) == m.nnz()
+    assert m._colcache is None and len(runs) == 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -824,7 +864,7 @@ def test_binomial_span_unit_heavy_unions_match_dense_rref(case):
 
 # ------------------------------------------------------- storage boundary
 
-_STORAGE = {"_rows", "_colcache"}
+_STORAGE = {"_rows", "_colcache", "_stream", "_nnz"}
 _MUTATORS = {"append", "clear", "extend", "insert", "pop", "popitem", "remove",
              "setdefault", "update"}
 
@@ -879,18 +919,36 @@ def _enclosing_defs(tree):
 
 _DEL_OWNERS = {("exactla.py", "_accumulate"), ("exactla.py", "_combine"),
                ("homology.py", "bar_complex")}
+_XOR_OWNERS = {("exactla.py", "_mod2_independent")}
+
+
+def _deletes_an_item(node) -> bool:
+    return isinstance(node, ast.Delete) and any(isinstance(t, ast.Subscript)
+                                                for t in node.targets)
+
+
+def _reduces_mod2(node) -> bool:
+    """An XOR step or a bit_length pivot: the mod-2 selector's reduction."""
+    return ((isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitXor))
+            or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor))
+            or (isinstance(node, ast.Attribute) and node.attr == "bit_length"))
+
+
+def _found_outside(owners, found) -> list:
+    src = pathlib.Path(moritalab.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for name, node in _enclosing_defs(ast.parse(path.read_text(encoding="utf-8"))):
+            if found(node) and (path.name, name.split(".")[0]) not in owners:
+                offenders.append(f"{path.name}:{node.lineno} in {name or '<module>'}")
+    return offenders
 
 
 def test_only_the_accumulate_kernel_deletes_cancelled_entries():
     """One sparse accumulate kernel: a del of a dict item (a cancelled
     entry) appears only in exactla._accumulate and the index-mapping
-    loops of the elimination engine and the bar build."""
-    src = pathlib.Path(moritalab.__file__).parent
-    offenders = []
-    for path in sorted(src.glob("*.py")):
-        for name, node in _enclosing_defs(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Delete)
-                    and any(isinstance(t, ast.Subscript) for t in node.targets)
-                    and (path.name, name.split(".")[0]) not in _DEL_OWNERS):
-                offenders.append(f"{path.name}:{node.lineno} in {name or '<module>'}")
-    assert offenders == []
+    loops of the elimination engine and the bar build. One mod-2
+    selector: XOR and bit_length appear only in exactla._mod2_independent,
+    so the pass that streams a bar boundary cannot carry a copy of it."""
+    assert _found_outside(_DEL_OWNERS, _deletes_an_item) == []
+    assert _found_outside(_XOR_OWNERS, _reduces_mod2) == []

@@ -183,6 +183,80 @@ def test_one_changed_entry_of_b2_fails_the_composite_check(seed):
         ChainComplex(sa, cx.coefficients, cx.spaces, boundaries)
 
 
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_one_changed_entry_of_the_streamed_b3_fails_the_composite_check(where):
+    # the top boundary is never stored: corrupt one column as its stream
+    # yields it, ahead of the mod-2 pick or in the part only checked
+    sa = semigroup_algebra(brandt(2, cyclic_group(2)))
+    cx = bar_complex(sa, regular_bimodule(sa), 2)
+    b2, b3 = (cx.boundary(n).matrix for n in (2, 3))
+    c = {"first": 0, "middle": b3.cols // 2, "last": b3.cols - 1}[where]
+    r = random.Random(c).choice([k for k, col in enumerate(b2._columns()) if col])
+
+    def corrupted():
+        for j, col in enumerate(b3._stream()):
+            if j == c:
+                col = {**col, r: col.get(r, 0) + 1 or 2}
+            yield col
+
+    bad = RationalMatrix._streamed(corrupted, b3.rows, b3.cols)
+    boundaries = cx.boundaries[:2] + [LinearMap(b3.cols, b3.rows, bad)]
+    with pytest.raises(RuntimeError, match="composite b_2 b_3 is nonzero"):
+        ChainComplex(sa, cx.coefficients, cx.spaces, boundaries)
+    assert bad._colcache is None
+
+
+def _count_stream_runs(monkeypatch):
+    """Make every streamed matrix log each run of its stream; returns the
+    log, one entry per run."""
+    runs = []
+    streamed = RationalMatrix._streamed
+
+    def logged(stream, rows, cols):
+        return streamed(lambda: runs.append(cols) or stream(), rows, cols)
+
+    monkeypatch.setattr(RationalMatrix, "_streamed", staticmethod(logged))
+    return runs
+
+
+def test_top_boundary_is_streamed_once_and_never_listed(monkeypatch):
+    # regular l1(B(2,C3)), n = 2: b_3 has 28,561 columns, and the pass at
+    # construction is the only run of its stream while ranks are certified
+    sa = semigroup_algebra(brandt(2, cyclic_group(3)))
+    reg = regular_bimodule(sa)
+    runs = _count_stream_runs(monkeypatch)
+    cx = bar_complex(sa, reg, 2)
+    b3 = cx.boundary(3).matrix
+    assert runs == [28561]
+    for n in (1, 2, 3):
+        cx.col_rank(n)
+        cx.row_rank(n)
+    assert cx.col_rank(3) == 2037 and cx.certificates[("col", 3)] == "bound"
+    assert b3._colcache is None and _row_slot(b3) is None
+    # the pass counted nnz
+    assert b3.nnz() == 105960 and b3._colcache is None and runs == [28561]
+    # listed on demand, it is the face-by-face boundary
+    assert b3._columns() == bar_boundary(sa, reg, 3)
+    assert runs == [28561, 28561]
+
+
+def test_top_degree_two_torsion_fallback_lists_the_boundary_once(monkeypatch):
+    # l1(B(1,C2)), n = 1: mod 2 the columns of b_2 span 7 of its rank 9,
+    # so the column path lists b_2 once and eliminates all of it
+    sa = semigroup_algebra(brandt(1, cyclic_group(2)))
+    runs = _count_stream_runs(monkeypatch)
+    cx = bar_complex(sa, regular_bimodule(sa), 1)
+    b2 = cx.boundary(2)
+    assert runs == [27] and b2.matrix._colcache is None
+    calls = _record_engine_calls(monkeypatch)
+    assert cx.col_rank(2) == 9 and cx.certificates[("col", 2)] == "bound"
+    assert calls == [(27, 9, 9)]  # every column, after the short pick
+    assert runs == [27, 27] and b2.matrix._colcache is not None
+    assert cx.row_rank(2) == 9 == len(cx.exhaustive_pivots("row", 2))
+    assert dense_rank(matrix_of_linear_map(b2)) == 9
+    assert runs == [27, 27]
+
+
 def _row_slot(m):
     """The row storage of a matrix, None while a column-built one has not
     scattered its rows."""
@@ -437,7 +511,11 @@ def test_column_selector_falls_back_under_two_torsion(monkeypatch):
     assert calls == [(len(cols), 9, 9)]
 
 
-def _faulty_selectors():
+def _faulty_selectors(calls=None):
+    """Wrong choices in the selector's place. Each lists the stream it is
+    handed (so every column is still checked), chooses indices as its
+    fault says, keeps the chosen columns, and logs the column count in
+    calls."""
     rng = random.Random(5)
 
     def too_few(rows, limit):
@@ -454,8 +532,20 @@ def _faulty_selectors():
     def arbitrary(rows, limit):
         return rng.sample(range(len(rows)), min(limit, len(rows)))
 
-    return {"too few": too_few, "repeated": repeated,
-            "dependent": dependent, "arbitrary": arbitrary}
+    def streamed(choose):
+        def select(rows, limit, kept=None):
+            rows = list(rows)
+            picked = choose(rows, limit)
+            if kept is not None:
+                kept.extend(rows[i] for i in picked)
+            if calls is not None:
+                calls.append(len(rows))
+            return picked
+        return select
+
+    return {name: streamed(choose) for name, choose in [
+        ("too few", too_few), ("repeated", repeated),
+        ("dependent", dependent), ("arbitrary", arbitrary)]}
 
 
 @pytest.mark.parametrize("fault", sorted(_faulty_selectors()))
@@ -463,9 +553,13 @@ def test_column_selector_faults_change_no_result(monkeypatch, fault):
     # the selector only chooses which columns the exact engine sees: a
     # wrong choice may cost time, never a rank, certificate or betti number
     expected = _battery_results()
-    monkeypatch.setattr(homology, "_mod2_independent", _faulty_selectors()[fault])
+    sizes = [cx.spaces[n] for _, cx in rank_battery() for n in range(1, len(cx.boundaries) + 1)]
+    picks = []
+    monkeypatch.setattr(homology, "_mod2_independent", _faulty_selectors(picks)[fault])
     calls = _record_engine_calls(monkeypatch)
     assert _battery_results() == expected
+    # every degree's pick went through the fault, the streamed top one too
+    assert picks == sizes
     if fault in ("repeated", "dependent"):
         # a full-size pick was handed over, fell short, and was replaced
         assert any(size == stop and found < stop for size, stop, found in calls)
