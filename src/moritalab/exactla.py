@@ -6,10 +6,10 @@ equal exactly when their stored bases are identical. Elimination runs on
 primitive integer rows (denominators cleared, content divided out) and
 only converts back to fractions when a canonical basis is emitted.
 
-Products, sums, linear combinations, Subspace.contains, algebra products
-and the bar composite check all run through one kernel, _accumulate,
-which stores integral values as int. Four loops that map indices as they
-go stay outside it (see its docstring).
+Products, sums, linear combinations, Subspace.contains and algebra
+products all run through one kernel, _accumulate, which stores integral
+values as int. Four loops that map indices as they go stay outside it
+(see its docstring).
 """
 
 from __future__ import annotations

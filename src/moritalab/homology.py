@@ -31,6 +31,25 @@ it runs over every column or row ("exhaustive"). The bound is met exactly
 when the homology one degree down vanishes, so non-vanishing degrees are
 always eliminated to the end, and only such echelons feed representatives.
 
+The composite check multiplies out every entry of b_{n-1} b_n, on
+columns of b_{n-1} packed into one int each, with fixed-width digits
+(Kronecker substitution), so a column v of b_n costs one big-int
+multiply-add per nonzero. Row r of b_{n-1} is scaled by the lcm D_r of
+its denominators: that makes it integral and scales entry r of
+b_{n-1} v by D_r != 0, so no zero test changes (scaling a column of
+b_{n-1} would change the combination). With E the largest scaled entry
+in size and W the least width with 2^(W-1) > L E, column k is packed
+as P_k = sum_r D_r b_rk 2^(W r), with signed digits. For an integral v
+with sum_k |v_k| <= L, s = sum_k v_k P_k = sum_r c_r 2^(W r), where
+c_r = D_r (b_{n-1} v)_r and |c_r| <= L E < 2^(W-1). If c_r is the
+lowest nonzero digit, then s = 2^(W r) (c_r + 2^W t) for an integer t,
+and 0 < |c_r| < 2^W, so s != 0: s == 0 exactly when b_{n-1} v = 0. The
+bound needs integral digits (at W = 3, 1 - (1/8) 8 = 0), so a v holding
+a Fraction is replaced by its primitive integer form, a nonzero multiple
+of v. L starts at n + 1, the l1 norm of n + 1 monomial faces; a v whose
+l1 norm passes L has the columns packed again at a larger L, so W only
+grows and no entry is skipped.
+
 The column path first chooses, by XOR on bitmasks and in index order,
 columns whose primitive integer forms are independent mod 2, up to the
 bound, in the construction pass that checks b_{n-1} b_n = 0; only the
@@ -76,12 +95,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import chain
+from math import gcd
 
 from .exactla import (
     LinearMap,
     RationalMatrix,
     Subspace,
-    _accumulate,
     _echelon_insert,
     _forward_echelon,
     _int_row,
@@ -122,14 +141,71 @@ class NotUnitalError(ValueError):
     """The operation needs a unital algebra but no unit exists."""
 
 
+class _PackedColumns:
+    """The columns of a matrix B, rows scaled integral and each column
+    packed into one int of W-bit signed digits, so that B v = 0 is decided
+    exactly by one big-int multiply-add per nonzero of v; the proof is the
+    composite check's, in the module docstring. A rational v is tested in
+    its primitive integer form, and a v of l1 norm above the bound L the
+    columns were packed for has them packed again at a larger L.
+    """
+
+    __slots__ = ("columns", "scales", "largest", "bound", "width", "packed")
+
+    def __init__(self, columns: list, rows: int, bound: int):
+        """columns: the sparse columns of B, which has rows rows; bound: the
+        l1 norm L to size W for at first."""
+        scales = [1] * rows
+        for col in columns:
+            for r, v in col.items():
+                if type(v) is not int:
+                    d = scales[r]
+                    scales[r] = d * v.denominator // gcd(d, v.denominator)
+        self.columns, self.scales = columns, scales
+        self.largest = int(max((abs(v * scales[r]) for col in columns for r, v in col.items()),
+                               default=0))
+        self._pack(bound)
+
+    def _pack(self, bound: int) -> None:
+        width, top, scales = 1, bound * self.largest, self.scales
+        while 1 << (width - 1) <= top:
+            width += 1
+        self.bound, self.width, self.packed = bound, width, []
+        for col in self.columns:
+            p = 0
+            for r, v in col.items():
+                p += (v * scales[r]).numerator << (width * r)
+            self.packed.append(p)
+
+    def kills(self, v: dict) -> bool:
+        """Whether B v = 0, decided exactly (proof in the module docstring)."""
+        s = size = 0
+        packed = self.packed
+        for k, x in v.items():
+            s += x * packed[k]
+            size += x if x > 0 else -x
+        if type(size) is not int:
+            return self.kills(_int_row(v))
+        if size > self.bound:
+            self._pack(max(size, 2 * self.bound))
+            return self.kills(v)
+        return not s
+
+
 class ChainComplex:
     """Chain spaces C_0..C_top with boundaries b_n: C_n -> C_{n-1}.
 
     Construction makes one pass over the columns of each b_n, in index
-    order: each is multiplied out against the columns of b_{n-1} through
-    exactla._accumulate, so b_{n-1} b_n = 0 is verified exactly, reading
-    no rows, and fed to the mod-2 selector, which keeps the columns it
-    picks. The rank bounds that end the eliminations rest on the check.
+    order: each is multiplied out against the columns of b_{n-1}, so
+    b_{n-1} b_n = 0 is verified exactly, reading no rows, and fed to the
+    mod-2 selector, which keeps the columns it picks. The columns of
+    b_{n-1} are packed into ints (_PackedColumns), its rows first scaled
+    integral; the digit width W keeps every digit of the product below
+    2^(W-1) in size, so the packed product is 0 exactly when the column
+    of b_{n-1} b_n is (proof in the module docstring). A column of b_n
+    holding a Fraction is tested in its primitive form, and one whose l1
+    norm passes the bound W was sized for has the columns packed again.
+    The rank bounds that end the eliminations rest on the check.
     A streamed b_top is listed only by a route that needs all of it: a
     pick that falls short, the row fallback, exhaustive_pivots,
     representatives, or a reader of .matrix. certificates maps (path, n),
@@ -166,18 +242,29 @@ class ChainComplex:
 
     def _checked(self, n: int):
         """The columns of b_n in blocks, in index order, each column first
-        multiplied out against the columns of b_{n-1}, so every entry of
-        b_{n-1} b_n is checked exactly.
+        multiplied out against the packed columns of b_{n-1}, so every
+        entry of b_{n-1} b_n is checked exactly.
+
+        Row r of b_{n-1} is scaled by the lcm D_r of its denominators, which
+        scales digit r of the product by D_r != 0. The digits are W bits
+        wide, with 2^(W-1) > L E for E the largest scaled entry and L the
+        l1 norm bound, n + 1 at first; then a nonzero lowest digit c_r of
+        an integral column's product, |c_r| <= L E, leaves the packed sum
+        nonzero. A column with a Fraction is tested in its primitive form
+        and one past L repacks at a larger L (module docstring).
 
         A block is checked whole before it is handed on: checking each
         column between its build and its pick made the pass over b_3 of
         l1(B(2,C3)) a few percent slower.
         """
-        earlier = self.boundaries[n - 2].matrix._columns() if n > 1 else None
+        kills = None
+        if n > 1:  # a column of b_n has n + 1 faces, so l1 norm n + 1 when they are monomial
+            earlier = self.boundaries[n - 2].matrix
+            kills = _PackedColumns(earlier._columns(), earlier.rows, n + 1).kills
         for block in self.boundaries[n - 1].matrix._column_blocks():
-            if earlier is not None:
+            if kills is not None:
                 for col in block:
-                    if _accumulate({}, col, earlier):  # one column of the product
+                    if not kills(col):  # one column of the product
                         raise RuntimeError(f"boundary composite b_{n - 1} b_{n} is nonzero")
             yield block
 

@@ -5,6 +5,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moritalab.structures import (
     StructureAlgebra,
@@ -39,6 +40,7 @@ from moritalab import exactla, homology
 from moritalab.exactla import (
     LinearMap,
     RationalMatrix,
+    _accumulate,
     _forward_echelon,
     _mod2_independent,
     image,
@@ -204,6 +206,123 @@ def test_one_changed_entry_of_the_streamed_b3_fails_the_composite_check(where):
     with pytest.raises(RuntimeError, match="composite b_2 b_3 is nonzero"):
         ChainComplex(sa, cx.coefficients, cx.spaces, boundaries)
     assert bad._colcache is None
+
+
+@pytest.mark.parametrize("change", ["raised", "rational"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_large_or_rational_entry_of_the_streamed_b3_fails_the_composite_check(where, change):
+    # raising an entry by 2^40 puts its column's l1 norm past the packing
+    # bound, so the columns of b_2 are packed again; a Fraction entry makes
+    # the column rational, so it is checked in its primitive integer form
+    sa = semigroup_algebra(brandt(2, cyclic_group(2)))
+    cx = bar_complex(sa, regular_bimodule(sa), 2)
+    b2, b3 = (cx.boundary(n).matrix for n in (2, 3))
+    c = {"first": 0, "middle": b3.cols // 2, "last": b3.cols - 1}[where]
+    r = random.Random(c).choice([k for k, col in enumerate(b2._columns()) if col])
+
+    def corrupted():
+        for j, col in enumerate(b3._stream()):
+            if j == c:
+                entry = col.get(r, 0) + 2 ** 40 if change == "raised" else Fraction(1, 2)
+                col = {**col, r: entry}
+            yield col
+
+    bad = RationalMatrix._streamed(corrupted, b3.rows, b3.cols)
+    boundaries = cx.boundaries[:2] + [LinearMap(b3.cols, b3.rows, bad)]
+    with pytest.raises(RuntimeError, match="composite b_2 b_3 is nonzero"):
+        ChainComplex(sa, cx.coefficients, cx.spaces, boundaries)
+
+
+def test_rational_columns_of_large_l1_norm_pass_the_composite_check():
+    # b_1 has rational rows; the columns of b_2 span its kernel with
+    # Fraction entries and l1 norms far past the first packing bound
+    b1 = RationalMatrix._of_columns(
+        [{0: Fraction(1, 3)}, {0: Fraction(-2, 3), 1: 5}, {1: Fraction(5, 7)}, {}], 2)
+    kernel_cols = [{0: 2, 1: 1, 2: -7}, {3: 1}]
+    b2 = RationalMatrix._of_columns(
+        [{r: v * Fraction(10 ** 12 + 1, 3) for r, v in kernel_cols[0].items()},
+         {3: Fraction(-1, 10 ** 9)},
+         {0: 2 * 10 ** 15, 1: 10 ** 15, 2: -7 * 10 ** 15, 3: Fraction(1, 2)}], 4)
+    boundaries = [LinearMap(4, 2, b1), LinearMap(3, 4, b2)]
+    assert not any(_accumulate({}, col, b1._columns()) for col in b2._columns())
+    packed = homology._PackedColumns(b1._columns(), 2, 2)
+    assert all(packed.kills(col) for col in b2._columns()) and packed.bound > 2  # repacked
+    cx = ChainComplex(None, None, [2, 4, 3], boundaries)
+    assert (cx.col_rank(1), cx.col_rank(2)) == (2, 2)
+    bad = RationalMatrix._of_columns(b2._columns()[:2] + [{0: 1, 3: 10 ** 30}], 4)
+    with pytest.raises(RuntimeError, match="composite b_1 b_2 is nonzero"):
+        ChainComplex(None, None, [2, 4, 3], [boundaries[0], LinearMap(3, 4, bad)])
+
+
+def test_a_rational_column_is_tested_in_its_primitive_form():
+    # W = 3 here, so v's digits 1 and -1/8 would carry into s = 1 - 1 = 0:
+    # the digit bound holds only for integral digits
+    packed = homology._PackedColumns([{0: 1}, {1: 1}], 2, 2)
+    assert packed.width == 3
+    assert not packed.kills({0: 1, 1: Fraction(-1, 8)})
+    assert packed.bound == 9  # the l1 norm of the primitive form {0: 8, 1: -1}
+
+
+_entries = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+
+
+@st.composite
+def _packing_case(draw):
+    """Columns of a matrix B, the last a combination of the others, and
+    columns v with B v = 0 unless one entry was changed."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.lists(st.dictionaries(st.integers(0, rows - 1), _entries, max_size=rows),
+                         min_size=1, max_size=4))
+    coeffs = draw(st.lists(_entries, min_size=len(cols), max_size=len(cols)))
+    combo = {k: a for k, a in enumerate(coeffs) if a}
+    cols.append(_accumulate({}, combo, cols))
+    vs = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = draw(st.sampled_from([1, -1, 2 ** 20, Fraction(1, 3), Fraction(-7, 10 ** 6)]))
+        v = {k: a * t for k, a in combo.items()}
+        v[len(cols) - 1] = -t
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(cols) - 1))
+            v[k] = v.get(k, 0) + draw(_entries)
+        vs.append({k: a for k, a in v.items() if a})
+    return cols, rows, vs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_packing_case(), bound=st.integers(1, 4))
+def test_packed_columns_agree_with_the_accumulate_kernel(case, bound):
+    cols, rows, vs = case
+    packed = homology._PackedColumns(cols, rows, bound)
+    width = packed.width
+    for v in vs:
+        assert packed.kills(v) == (not _accumulate({}, v, cols))
+        assert packed.width >= width and packed.bound >= bound
+        width = packed.width
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(2, 12), data=st.data())
+def test_packed_digits_may_sit_at_the_digit_bound(m, data):
+    # L E = 2^(m-1) - 1 packs at the least width W = m, and a v of l1 norm
+    # L can make every digit of the product +-(2^(W-1) - 1)
+    top = 2 ** (m - 1) - 1
+    bound = data.draw(st.sampled_from([d for d in range(1, top + 1) if top % d == 0]))
+    largest = top // bound
+    rows = data.draw(st.integers(1, 6))
+    signs = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=rows, max_size=rows))
+    taus = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=4))
+    cols = [{r: largest * sg * tau for r, sg in enumerate(signs) if sg} for tau in taus]
+    cols.append({0: largest})  # so the largest entry is there even when signs are all 0
+    cuts = sorted(data.draw(st.sets(st.integers(1, bound - 1), max_size=len(taus) - 1))
+                  if bound > 1 else [])
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [bound])]  # positive, sum L
+    packed = homology._PackedColumns(cols, rows, bound)
+    assert packed.width == m
+    v = {k: tau * w for k, (tau, w) in enumerate(zip(taus, weights))}
+    product = _accumulate({}, v, cols)
+    assert all(abs(c) == top for c in product.values())
+    assert packed.kills(v) == (not product) == (not any(signs))
+    assert packed.width == m
 
 
 def _count_stream_runs(monkeypatch):
