@@ -380,8 +380,8 @@ def _mod2_independent(rows, limit: int, kept: list | None = None) -> list[int]:
     coefficient is odd; reduced mod 2 it is then a dependency there too.
     So rows independent mod 2 are independent over Q, and exact
     elimination of the chosen rows never reduces one to zero. Under
-    2-torsion fewer than the rank may be found; the caller must then
-    eliminate everything.
+    2-torsion fewer than the rank may be found; the caller then goes on
+    with the other rows.
 
     Each primitive row is packed mod 2 into an int bitmask and reduced by
     XOR. A row is kept exactly when it is independent of the rows kept
@@ -414,8 +414,7 @@ def _mod2_independent(rows, limit: int, kept: list | None = None) -> list[int]:
     return picked
 
 
-def _forward_echelon(rows, stop_at: int | None = None, sources: list | None = None,
-                     lead=min) -> dict:
+def _forward_echelon(rows, stop_at: int | None = None, lead=min) -> dict:
     """Integer row echelon; returns {pivot column: primitive row}.
 
     Rows are inserted in _sparsest_first order; the span, and hence the
@@ -424,28 +423,21 @@ def _forward_echelon(rows, stop_at: int | None = None, sources: list | None = No
     stop_at is a proven upper bound on the rank: elimination ends once
     that many pivots exist, since every remaining row could only reduce
     to zero. The result is then the same dict the unbounded call returns,
-    because later rows never touch existing pivots. When sources is a
-    list, the input index of each row that became a pivot is appended to
-    it, in the order the pivots were found.
+    because later rows never touch existing pivots.
 
     lead picks each row's pivot column, min (leading) or max (trailing);
     see _echelon_insert. A row is kept exactly when it is independent of
-    the rows kept before it, so the pivot count, the stop and sources do
-    not depend on lead; only the stored echelon does, and RREF, kernels
-    and representatives need the leading one.
+    the rows kept before it, so the pivot count and the stop do not depend
+    on lead; only the stored echelon does, and RREF and kernels need the
+    leading one.
     """
     pivots: dict[int, dict] = {}
     ints = [_int_row(r) for r in rows]
-    # _int_row returns a fresh dict per input and ints keeps them all
-    # alive, so their ids name input positions uniquely; sorting ints in
-    # place, rather than a list of positions, keeps the peak memory down
-    position = {id(r): i for i, r in enumerate(ints)} if sources is not None else None
     ints.sort(key=_sparsest_first)
     for row in ints:
         if len(pivots) == stop_at:
             break
-        if _echelon_insert(pivots, row, lead) is not None and sources is not None:
-            sources.append(position[id(row)])
+        _echelon_insert(pivots, row, lead)
     return pivots
 
 

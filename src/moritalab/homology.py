@@ -58,26 +58,22 @@ dependency divided by its content has an odd coefficient, so it
 survives reduction mod 2. Exact elimination of the chosen columns
 therefore never reduces one to zero; when there are as many as the
 bound, it proves the rank ("bound"). Under 2-torsion fewer may be found,
-or a faulty choice may fall short exactly; then every column is listed
-and eliminated as before. No rank rests on mod-2 arithmetic: it only
-decides which columns the exact elimination sees.
+or a faulty choice may fall short exactly; then the same echelon goes
+on with the other columns, streamed afresh in index order, until the
+bound or the last column. No rank rests on mod-2 arithmetic: it only
+decides which columns the exact elimination sees first.
 
-The chosen columns pivot on their highest row index, as the mod-2
-selector does; every other elimination pivots on the lowest. Under
-either rule a column is reduced exactly and reaches zero exactly when it
-lies in the span of the columns before it, so the pivot count, and with
-it every rank and certificate, cannot change. The rule only decides
-fill-in: on b_3 of l1(B(2,C3)) the 2037 chosen columns take 1,834
-combine steps instead of 112,220. Only the echelon stored under the
-"bound" certificate is trailing, and representatives refuse that one.
+Every echelon the complex stores pivots on its highest index, as the
+mod-2 selector does; the rule decides only fill-in, since under any rule
+a vector reaches zero exactly when it lies in the span of those before it.
 
-The row path first eliminates, on trailing pivots, the rows of b_n
-restricted to the columns behind the column pivots; only their count is
-used. That submatrix's rank is a lower bound on rank b_n whatever the
-columns are, so a wrong column set can only fail to reach the upper
-bound, never give a wrong rank. When it fails, the full rows are
-eliminated on leading pivots. Either way the row rank rests on the row
-path's own exact elimination of the boundary entries.
+The row path first eliminates the rows of b_n restricted to the columns
+behind the column pivots; only their count is used. That submatrix's
+rank is a lower bound on rank b_n whatever the columns are, so a wrong
+column set can only fail to reach the upper bound, never give a wrong
+rank. When it fails, the full rows are eliminated. Either way the row
+rank rests on the row path's own exact elimination of the boundary
+entries.
 
 The derivation and diagonal systems are whole-matrix identities in the
 multiplication matrices L_p (x -> e_p x) and R_p (x -> x e_p). Flatten
@@ -206,16 +202,15 @@ class ChainComplex:
     holding a Fraction is tested in its primitive form, and one whose l1
     norm passes the bound W was sized for has the columns packed again.
     The rank bounds that end the eliminations rest on the check.
-    A streamed b_top is listed only by a route that needs all of it: a
-    pick that falls short, the row fallback, exhaustive_pivots,
-    representatives, or a reader of .matrix. certificates maps (path, n),
-    path "col" or "row", to "bound" when the rank of b_n was proven by the
-    two bounds meeting, or "exhaustive" when the elimination ran over
-    every column or row.
+    A streamed b_top is listed only by a route that needs all of it: the
+    row fallback, exhaustive_pivots, representatives, or a reader of
+    .matrix. certificates maps (path, n), path "col" or "row", to "bound"
+    when the rank of b_n was proven by the two bounds meeting, or
+    "exhaustive" when the elimination ran over every column or row.
     """
 
     __slots__ = ("algebra", "coefficients", "spaces", "boundaries", "certificates",
-                 "_row_ranks", "_echelons", "_picks", "_col_sources", "_pivot_columns",
+                 "_row_ranks", "_echelons", "_picks", "_pivot_columns",
                  "__weakref__")
 
     def __init__(self, algebra, coefficients, spaces, boundaries):
@@ -227,8 +222,7 @@ class ChainComplex:
         self._row_ranks = {}
         self._echelons = {}       # (path, n) -> pivots of an elimination of b_n
         self._picks = {}          # n -> (indices, columns) of b_n chosen mod 2
-        self._col_sources = {}    # n -> column of b_n behind each column pivot
-        self._pivot_columns = {}  # n -> {index: column} for those columns
+        self._pivot_columns = {}  # n -> {index: column} of b_n behind each column pivot
         for n in range(1, len(self.boundaries) + 1):
             # one pass over the columns of b_n checks b_{n-1} b_n = 0 and
             # picks up to the bound, which rests on that check: no rank
@@ -288,29 +282,32 @@ class ChainComplex:
         return len(self.col_pivots(n))
 
     def col_pivots(self, n: int) -> dict:
-        """Column echelon of b_n, ended once its pivots reach the rank bound.
+        """Column echelon of b_n on trailing pivots, ended once its pivots
+        reach the rank bound.
 
-        Columns independent mod 2 were chosen at construction; being
-        independent over Q as well, they are eliminated exactly, pivoting
-        on their highest row index, and, when there are as many as the
-        bound, prove the rank. Otherwise every column is listed and
-        eliminated, on leading pivots.
+        The columns picked mod 2 at construction go in first; being
+        independent over Q as well, each adds a pivot, and as many as the
+        bound prove the rank. Only when they fall short does the echelon
+        continue with the other columns, streamed afresh in index order
+        and never listed.
         """
         key = ("col", n)
         if key not in self._echelons:
             bound = self._rank_bound(n, self.col_rank)
-            picked, cols = self._picks.pop(n)
-            piv: dict = {}
-            sources: list = []
-            if len(picked) == bound:
-                piv = _forward_echelon(cols, stop_at=bound, sources=sources, lead=max)
-            if len(piv) < bound:
-                cols = self.boundary(n).matrix._columns()
-                picked, sources = range(len(cols)), []
-                piv = _forward_echelon(cols, stop_at=bound, sources=sources)
+            picked, kept = self._picks.pop(n)
+            skip = set(picked)
+            rest = ((i, col) for i, col in
+                    enumerate(chain.from_iterable(self.boundary(n).matrix._column_blocks()))
+                    if i not in skip)
+            piv, behind = {}, {}
+            if bound:
+                for i, col in chain(zip(picked, kept), rest):
+                    if _echelon_insert(piv, _int_row(col), max) is not None:
+                        behind[i] = col
+                        if len(piv) == bound:
+                            break
             self._echelons[key] = piv
-            self._col_sources[n] = [picked[i] for i in sources]
-            self._pivot_columns[n] = {picked[i]: cols[i] for i in sources}
+            self._pivot_columns[n] = behind
             self.certificates[key] = "bound" if len(piv) == bound else "exhaustive"
         return self._echelons[key]
 
@@ -318,21 +315,22 @@ class ChainComplex:
         """Rank of b_n by an independent elimination on its rows (cached).
 
         The rows are first restricted to the columns behind the column
-        pivots, on trailing pivots. A submatrix never has more rank than
-        b_n, so if its rows reach the upper bound the rank is proven,
-        whichever columns were kept. Otherwise every row is eliminated.
+        pivots. A submatrix never has more rank than b_n, so if its rows
+        reach the upper bound the rank is proven, whichever columns were
+        kept. Otherwise every row is eliminated.
         """
         if n not in self._row_ranks:
             bound = self._rank_bound(n, self.row_rank)
             self.col_pivots(n)
             mat = self.boundary(n).matrix
-            kept = [self._pivot_columns[n][c] for c in sorted(self._col_sources[n])]
+            cols = self._pivot_columns[n]
+            kept = [cols[c] for c in sorted(cols)]
             hinted = RationalMatrix._of_columns(kept, mat.rows)._rows
             rank = len(_forward_echelon(hinted, stop_at=bound, lead=max))
             if rank == bound:
                 self.certificates[("row", n)] = "bound"
             else:
-                piv = _forward_echelon(mat._rows)
+                piv = _forward_echelon(mat._rows, lead=max)
                 self._echelons[("row", n)] = piv
                 self.certificates[("row", n)] = "exhaustive"
                 rank = len(piv)
@@ -355,7 +353,7 @@ class ChainComplex:
             return piv
         key = ("row", n)
         if key not in self._echelons:
-            piv = _forward_echelon(self.boundary(n).matrix._rows)
+            piv = _forward_echelon(self.boundary(n).matrix._rows, lead=max)
             if len(piv) != self.row_rank(n):
                 raise RuntimeError(f"row elimination of b_{n} disagrees with its certified rank")
             self._echelons[key] = piv
@@ -459,7 +457,7 @@ def _representatives(kernel_vectors, boundary_pivots: dict, want: int) -> list:
     for v in kernel_vectors:
         if len(reps) == want:
             break
-        if _echelon_insert(piv, _int_row(v)) is not None:
+        if _echelon_insert(piv, _int_row(v), max) is not None:
             reps.append(v)
     return reps
 

@@ -282,6 +282,31 @@ def test_homology_with_dual_coefficients(capsys):
     assert out.count("H_0 dim") == 2
 
 
+def test_homology_short_pick_lists_no_top_boundary(monkeypatch):
+    # at campaign seed 88 the random completion over l1(B(2,C2)) has
+    # 2-torsion: mod 2 the columns of b_3 reach 462 of its rank 654, and the
+    # column path goes on with the other columns, streamed, not listed
+    from moritalab import homology
+    built, picks = [], []
+    true_build, true_pick = homology.bar_complex, homology._mod2_independent
+
+    def build(*args, **kw):
+        built.append(true_build(*args, **kw))
+        return built[-1]
+
+    def pick(rows, limit, kept=None):
+        picks.append((len(picked := true_pick(rows, limit, kept)), limit))
+        return picked
+
+    monkeypatch.setattr(homology, "bar_complex", build)
+    monkeypatch.setattr(homology, "_mod2_independent", pick)
+    camp = Campaign(instances=[Instance(2, 3, "C2")], checks=["homology"], seed=88)
+    assert cli.check_homology(camp.instances[0], camp).status == "pass"
+    assert len(built) == 3 and picks.count((654, 654)) == 2 and (462, 654) in picks
+    assert all(cx.certificates[("col", 3)] == "bound" for cx in built)
+    assert all(cx.boundary(3).matrix._colcache is None for cx in built)
+
+
 # --------------------------------------------------------------------- reports
 
 def small_campaign():

@@ -686,11 +686,7 @@ def test_forward_echelon_stops_at_rank_bound(rows, extra):
     rank = dense_rank([[QQ(r.get(c, 0)) for c in range(width)] for r in rows])
     assert len(full) == rank
     for stop in (rank, rank + extra):
-        sources = []
-        assert _forward_echelon(rows, stop_at=stop, sources=sources) == full
-        # the recorded source rows are independent rows of the input
-        picked = [[QQ(rows[i].get(c, 0)) for c in range(width)] for i in sources]
-        assert len(sources) == rank and dense_rank(picked) == rank
+        assert _forward_echelon(rows, stop_at=stop) == full
     # below the rank the pivots found so far are kept unchanged
     for stop in range(rank):
         part = _forward_echelon(rows, stop_at=stop)
@@ -702,8 +698,7 @@ def test_forward_echelon_stops_at_rank_bound(rows, extra):
 @given(rows=sparse_int_rows, extra=st.integers(0, 3))
 def test_forward_echelon_trailing_pivots_match_dense_rank(rows, extra):
     # pivoting each row on its highest column finds the same number of
-    # independent rows as the dense oracle, stops at a bound, and records
-    # independent input rows as its sources
+    # independent rows as the dense oracle, and stops at a bound
     width = 1 + max((c for r in rows for c in r), default=0)
     dense = [[QQ(r.get(c, 0)) for c in range(width)] for r in rows]
     rank = dense_rank(dense)
@@ -711,15 +706,10 @@ def test_forward_echelon_trailing_pivots_match_dense_rank(rows, extra):
     assert len(full) == rank
     assert all(max(row) == c for c, row in full.items())
     for stop in (rank, rank + extra):
-        sources = []
-        assert _forward_echelon(rows, stop_at=stop, sources=sources, lead=max) == full
-        assert len(set(sources)) == len(sources) == rank
-        assert dense_rank([dense[i] for i in sources]) == rank
+        assert _forward_echelon(rows, stop_at=stop, lead=max) == full
     for stop in range(rank):
-        sources = []
-        part = _forward_echelon(rows, stop_at=stop, sources=sources, lead=max)
-        assert len(part) == len(sources) == stop
-        assert dense_rank([dense[i] for i in sources]) == stop
+        part = _forward_echelon(rows, stop_at=stop, lead=max)
+        assert len(part) == stop
 
 
 # rows with even entries and halves, so that 2-torsion (rank mod 2 below

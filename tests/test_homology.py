@@ -5,7 +5,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from moritalab.structures import (
     StructureAlgebra,
@@ -51,6 +51,7 @@ from moritalab.exactla import (
 from oracles import (
     bar_boundary,
     dense_rank,
+    dense_rank_mod2,
     diagonal_defects,
     diagonal_system,
     digit_bar_boundaries,
@@ -361,19 +362,23 @@ def test_top_boundary_is_streamed_once_and_never_listed(monkeypatch):
 
 def test_top_degree_two_torsion_fallback_lists_the_boundary_once(monkeypatch):
     # l1(B(1,C2)), n = 1: mod 2 the columns of b_2 span 7 of its rank 9,
-    # so the column path lists b_2 once and eliminates all of it
+    # so the column path goes on past the 7 picks with the other columns,
+    # streamed afresh up to the bound; only the full row echelon lists b_2
     sa = semigroup_algebra(brandt(1, cyclic_group(2)))
     runs = _count_stream_runs(monkeypatch)
     cx = bar_complex(sa, regular_bimodule(sa), 1)
     b2 = cx.boundary(2)
     assert runs == [27] and b2.matrix._colcache is None
     calls = _record_engine_calls(monkeypatch)
+    echelons = _record_column_echelons(monkeypatch)
     assert cx.col_rank(2) == 9 and cx.certificates[("col", 2)] == "bound"
-    assert calls == [(27, 9, 9)]  # every column, after the short pick
-    assert runs == [27, 27] and b2.matrix._colcache is not None
-    assert cx.row_rank(2) == 9 == len(cx.exhaustive_pivots("row", 2))
+    # 7 picks, then 9 of the other columns, up to the 9th pivot
+    assert calls == [] and echelons == [(7, 9, 16, 9)]
+    assert runs == [27, 27] and b2.matrix._colcache is None
+    assert cx.row_rank(2) == 9 and runs == [27, 27] and b2.matrix._colcache is None
+    assert len(cx.exhaustive_pivots("row", 2)) == 9
     assert dense_rank(matrix_of_linear_map(b2)) == 9
-    assert runs == [27, 27]
+    assert runs == [27, 27, 27]
 
 
 def _row_slot(m):
@@ -562,7 +567,7 @@ def test_row_rank_falls_back_when_column_hint_is_damaged():
     assert cx.certificates[("col", 2)] == "bound"
     # drop one recorded pivot column: the restricted rows lose rank, miss
     # the bound, and the full row elimination must take over
-    cx._col_sources[2].pop()
+    cx._pivot_columns[2].popitem()
     assert cx.row_rank(2) == dense
     assert cx.certificates[("row", 2)] == "exhaustive"
 
@@ -605,13 +610,38 @@ def _record_engine_calls(monkeypatch):
     gets (rows handed in, stop_at, pivots found) per call."""
     calls = []
 
-    def recording(rows, stop_at=None, sources=None, **kw):
-        piv = _forward_echelon(rows, stop_at=stop_at, sources=sources, **kw)
+    def recording(rows, stop_at=None, **kw):
+        piv = _forward_echelon(rows, stop_at=stop_at, **kw)
         calls.append((len(rows), stop_at, len(piv)))
         return piv
 
     monkeypatch.setattr(homology, "_forward_echelon", recording)
     return calls
+
+
+def _record_column_echelons(monkeypatch):
+    """Wrap the column path; returns a list that gets (columns picked mod
+    2, rank bound, columns inserted, pivots found) per column echelon."""
+    echelons, inserted = [], []
+    insert = homology._echelon_insert
+    true_pivots = ChainComplex.col_pivots
+
+    def counting(piv, row, lead=min):
+        inserted.append(1)
+        return insert(piv, row, lead)
+
+    def recording(self, n):
+        if ("col", n) in self._echelons:
+            return true_pivots(self, n)
+        bound = self._rank_bound(n, self.col_rank)  # lower degrees first
+        picked, before = len(self._picks[n][0]), len(inserted)
+        piv = true_pivots(self, n)
+        echelons.append((picked, bound, len(inserted) - before, len(piv)))
+        return piv
+
+    monkeypatch.setattr(homology, "_echelon_insert", counting)
+    monkeypatch.setattr(ChainComplex, "col_pivots", recording)
+    return echelons
 
 
 def test_column_selector_falls_back_under_two_torsion(monkeypatch):
@@ -624,10 +654,52 @@ def test_column_selector_falls_back_under_two_torsion(monkeypatch):
     assert cx.col_rank(1) == 0
     assert len(_mod2_independent(cols, 9)) == 7
     calls = _record_engine_calls(monkeypatch)
+    echelons = _record_column_echelons(monkeypatch)
     assert cx.col_rank(2) == 9 == dense_rank(matrix_of_linear_map(b2))
     assert cx.certificates[("col", 2)] == "bound"
-    # the short mod-2 pick never reaches the exact engine; every column does
-    assert calls == [(len(cols), 9, 9)]
+    # the 7 picks each add a pivot; the echelon then goes on with the other
+    # columns, in index order, and stops at the 9th pivot
+    assert calls == [] and echelons == [(7, 9, 16, 9)]
+    picked = set(_mod2_independent(cols, 9))
+    extra = sorted(set(cx._pivot_columns[2]) - picked)
+    assert len(extra) == 2 and picked <= set(cx._pivot_columns[2])
+    assert 16 == 7 + len(set(range(extra[-1] + 1)) - picked)
+
+
+@st.composite
+def _torsion_complex(draw):
+    """(k, tail, columns): a complex C_2 -> C_1 -> C_0 where b_1 kills the
+    first k basis vectors of C_1 and maps the last tail ones onto C_0, and
+    the integer columns of b_2 lie in the first k coordinates. They include
+    pairs v + w, v - w, equal mod 2, so mod 2 they often span less."""
+    k, tail = draw(st.integers(2, 5)), draw(st.integers(0, 3))
+    vec = st.dictionaries(st.integers(0, k - 1), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                          min_size=1, max_size=k)
+    cols = []
+    for v, w in draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=4)):
+        cols += [{r: x for r in v.keys() | w.keys() if (x := v.get(r, 0) + sign * w.get(r, 0))}
+                 for sign in (1, -1)]
+    cols += draw(st.lists(vec, max_size=2))
+    return k, tail, draw(st.permutations(cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_torsion_complex())
+def test_continued_pick_matches_dense_rank_under_two_torsion(case):
+    # the mod-2 pick of the streamed b_2 falls short of its rank; the
+    # column path goes on with the other columns, streamed, never listed
+    k, tail, cols = case
+    dense = [[col.get(r, 0) for r in range(k)] for col in cols]
+    rank = dense_rank(dense)
+    assume(dense_rank_mod2(dense) < rank)
+    b1 = RationalMatrix._of_columns([{}] * k + [{j: 1} for j in range(tail)], tail)
+    b2 = RationalMatrix._streamed(lambda: iter(cols), k + tail, len(cols))
+    cx = ChainComplex(None, None, [tail, k + tail, len(cols)],
+                      [LinearMap(k + tail, tail, b1), LinearMap(len(cols), k + tail, b2)])
+    assert cx.col_rank(2) == rank and b2._colcache is None
+    assert cx.certificates[("col", 2)] == ("bound" if rank == k else "exhaustive")
+    assert cx.row_rank(2) == rank
+    assert (cx.col_rank(1), cx.row_rank(1)) == (tail, tail)
 
 
 def _faulty_selectors(calls=None):
@@ -675,13 +747,14 @@ def test_column_selector_faults_change_no_result(monkeypatch, fault):
     sizes = [cx.spaces[n] for _, cx in rank_battery() for n in range(1, len(cx.boundaries) + 1)]
     picks = []
     monkeypatch.setattr(homology, "_mod2_independent", _faulty_selectors(picks)[fault])
-    calls = _record_engine_calls(monkeypatch)
+    echelons = _record_column_echelons(monkeypatch)
     assert _battery_results() == expected
     # every degree's pick went through the fault, the streamed top one too
     assert picks == sizes
     if fault in ("repeated", "dependent"):
-        # a full-size pick was handed over, fell short, and was replaced
-        assert any(size == stop and found < stop for size, stop, found in calls)
+        # a full-size pick was handed over, fell short, and the echelon
+        # went on with the other columns
+        assert any(size == stop < inserted for size, stop, inserted, _ in echelons)
 
 
 def test_column_selector_hands_only_independent_columns_to_engine(monkeypatch):
@@ -691,10 +764,11 @@ def test_column_selector_hands_only_independent_columns_to_engine(monkeypatch):
     cx = bar_complex(sa, regular_bimodule(sa), 2)
     cx.col_rank(2)
     calls = _record_engine_calls(monkeypatch)
+    echelons = _record_column_echelons(monkeypatch)
     assert cx.col_rank(3) == 2037
     assert cx.certificates[("col", 3)] == "bound"
-    assert calls == [(2037, 2037, 2037)]
-    assert len(set(cx._col_sources[3])) == 2037
+    assert calls == [] and echelons == [(2037, 2037, 2037, 2037)]
+    assert len(cx._pivot_columns[3]) == 2037
 
 
 def test_selector_converts_few_columns_of_b3(monkeypatch):
@@ -737,7 +811,8 @@ def test_representatives_accept_fraction_kernel_vectors():
     half = {0: Fraction(1, 2), 2: 1}
     reps = homology._representatives([half, {0: 1, 2: 2}, {1: Fraction(-1, 3)}], {}, 2)
     assert reps == [half, {1: Fraction(-1, 3)}]
-    assert homology._representatives([{0: 1, 2: 2}], {0: {0: 1, 2: 2}}, 1) == []
+    # the echelon is trailing, as every echelon the complex stores
+    assert homology._representatives([{0: 1, 2: 2}], {2: {0: 1, 2: 2}}, 1) == []
 
 
 def test_chain_complex_always_checks_composite_zero():
